@@ -27,6 +27,9 @@ impl DlmBackend for NullBackend {
     fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
         Ok(())
     }
+    fn replay_from(&self, _: &[(u32, u64)]) -> DbResult<()> {
+        Ok(())
+    }
 }
 
 fn populated_cache(n: u64) -> (DisplayCache, Vec<displaydb_display::DoId>) {

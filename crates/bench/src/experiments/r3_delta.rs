@@ -154,10 +154,6 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
     // Measure the notification pipeline, not callback delivery (same
     // decoupling as E4/R2).
     config.sync_callbacks = false;
-    // The update log's cursor acks ride the same outbox and their count
-    // depends on drain timing; R4 measures them, R3 measures projection
-    // suppression — keep the byte counts deterministic.
-    config.dlm.log = displaydb_common::UpdateLogConfig::disabled();
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).expect("server");
 
     let updater = DbClient::connect(

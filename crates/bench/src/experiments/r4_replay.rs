@@ -14,8 +14,9 @@
 //! Both scenarios run the identical outage: every viewer's channel is
 //! severed, a slice of the watched topology changes while they are
 //! away, then the whole fleet reconnects at once. The only difference
-//! is the update log (on vs disabled, which forces the legacy
-//! resync-on-resume path). Recovery traffic is measured at the wire —
+//! is the update log's window: the resync scenario truncates it after
+//! the outage's commits, which forces the resync fallback on resume.
+//! Recovery traffic is measured at the wire —
 //! one [`WireMeter`] spans every viewer channel, reset at the moment
 //! the fleet is let back in.
 //!
@@ -27,7 +28,7 @@ use crate::report::{self, Metrics, Table};
 use crate::Scale;
 use displaydb_client::{ChannelFactory, ClientConfig, DbClient};
 use displaydb_common::backoff::ReconnectPolicy;
-use displaydb_common::{Oid, UpdateLogConfig};
+use displaydb_common::Oid;
 use displaydb_display::schema::width_coded_link;
 use displaydb_display::{Display, DisplayCache, DoId};
 use displaydb_nms::nms_catalog;
@@ -77,7 +78,10 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "resume sheds",
         ],
     );
-    for (name, o) in [("full resync (log off)", &resync), ("replay", &replay)] {
+    for (name, o) in [
+        ("full resync (log truncated)", &resync),
+        ("replay", &replay),
+    ] {
         t.row(vec![
             name.into(),
             o.bytes.to_string(),
@@ -186,16 +190,14 @@ fn fleet_factory(
     (factory, plan_slot)
 }
 
-/// One outage/recovery cycle over a fleet. `replay == false` disables
-/// the update log, pinning the legacy resync-on-resume recovery.
+/// One outage/recovery cycle over a fleet. `replay == false` truncates
+/// the update log after the outage's commits, so every resume falls
+/// back to a resync.
 fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome {
     let catalog = Arc::new(nms_catalog());
     let hub = LocalHub::new();
     let mut config = ServerConfig::new(scratch_dir(if replay { "r4-replay" } else { "r4-resync" }));
     config.sync_callbacks = false;
-    if !replay {
-        config.dlm.log = UpdateLogConfig::disabled();
-    }
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).expect("server");
 
     let updater = DbClient::connect(
@@ -266,7 +268,7 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
         .collect();
 
     // Steady state: every link written once, every viewer converged and
-    // drained; in replay mode every viewer has adopted a cursor ack.
+    // drained; every viewer has adopted a cursor ack.
     for &oid in &oids {
         let mut txn = updater.begin().expect("begin");
         txn.update(oid, |o| o.set(&catalog, "Utilization", 0.01))
@@ -281,18 +283,16 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
             .expect("drain")
             > 0
         {}
-        if replay {
-            // Fully caught up, not just "has a cursor": a lagging cursor
-            // would make the replay redeliver part of the warm-up.
-            let head = server.core().dlm().update_log().head();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while viewer.client.dlc().cursor() < head {
-                assert!(
-                    Instant::now() < deadline,
-                    "viewer cursor never reached {head}"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        // Fully caught up, not just "has a cursor": a lagging cursor
+        // would make the replay redeliver part of the warm-up.
+        let head = server.core().dlm().update_log_of(0).head();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while viewer.client.dlc().cursor_of(0) < head {
+            assert!(
+                Instant::now() < deadline,
+                "viewer cursor never reached {head}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 
@@ -308,6 +308,9 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
         txn.update(oids[i], |o| o.set(&catalog, "Utilization", *f))
             .expect("update");
         txn.commit().expect("commit");
+    }
+    if !replay {
+        server.core().dlm().update_log_of(0).truncate_all();
     }
 
     // Recovery: meter only what follows the gate opening.

@@ -232,9 +232,17 @@ fn fan_out(shards: usize, oids: &[Oid], rounds: usize, wire_latency: Duration) -
                 delivered: Arc::clone(&delivered),
                 deliveries: Arc::clone(&deliveries),
             });
-            let outbox: Arc<dyn EventSink> =
-                OutboxSink::wrap(inner, config.overload, dlm.stats().overload.clone());
-            outbox
+            // One single-queue outbox (and writer) per shard around the
+            // modelled sink, so each shard's wire time overlaps the
+            // others'.
+            OutboxSink::new(
+                inner,
+                1,
+                config.overload,
+                dlm.stats().overload.clone(),
+                None,
+            )
+            .shard(0)
         })
         .collect();
     dlm.register_client_sinks(client, sinks);

@@ -11,7 +11,7 @@ use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
 use displaydb_dlm::{DlmAgentConnection, DlmEvent, UpdateInfo};
 use displaydb_schema::{Catalog, DbObject};
-use displaydb_server::proto::{Request, Response, ResumeCursors, ResumeRequest, ShardCursor};
+use displaydb_server::proto::{Request, Response, ResumeRequest, ShardCursor};
 use displaydb_wire::{Channel, Decode};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,10 +68,6 @@ pub struct SessionInfo {
     pub incarnation: u64,
     /// How many times this session has been resumed (0 = fresh).
     pub epoch: u64,
-    /// Shard 0's durable update-log incarnation (0 = none); the full
-    /// per-shard vector is `log_incarnations`. Kept for diagnostics and
-    /// single-shard deployments, where it *is* the log incarnation.
-    pub log_incarnation: u64,
     /// Per-shard durable update-log incarnations (index = shard, 0 =
     /// that shard has no durable log). They travel with the per-shard
     /// notification cursors on resume: a shard's cursor is only
@@ -142,26 +138,12 @@ impl DlmBackend for IntegratedBackend {
     fn report_resolution(&self, _oids: Vec<Oid>, _txn: TxnId, _committed: bool) -> DbResult<()> {
         Ok(())
     }
-    fn replay_from(&self, cursor: u64, _incarnation: u64) -> DbResult<()> {
-        // The server validated the cursor's log incarnation during the
-        // resume handshake; a live connection cannot change it.
+    fn replay_from(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
+        // The server validated the cursors' log incarnations during the
+        // resume handshake; a live connection cannot change them.
         self.conn
             .get()
-            .call(Request::ReplayFrom { cursor })
-            .map(|_| ())
-    }
-    fn replay_from_shard(&self, shard: u32, cursor: u64, _incarnation: u64) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::ReplayFromShards {
-                cursors: vec![(shard, cursor)],
-            })
-            .map(|_| ())
-    }
-    fn replay_from_shards(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::ReplayFromShards {
+            .call(Request::ReplayFrom {
                 cursors: cursors.to_vec(),
             })
             .map(|_| ())
@@ -212,8 +194,8 @@ impl DlmBackend for AgentCell {
     fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()> {
         self.get()?.report_resolution(oids, txn, committed)
     }
-    fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        self.get()?.replay_from(cursor, incarnation)
+    fn replay_from(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
+        DlmBackend::replay_from(&*self.get()?, cursors)
     }
 }
 
@@ -435,7 +417,6 @@ impl DbClient {
                 resumed,
                 stale,
                 replay_ok,
-                log_incarnation,
                 shard_log_incarnations,
             } => Ok(HandshakeOutcome {
                 catalog: Catalog::decode_from_bytes(&catalog)?,
@@ -444,12 +425,7 @@ impl DbClient {
                     token: session,
                     incarnation,
                     epoch,
-                    log_incarnation,
-                    log_incarnations: if shard_log_incarnations.is_empty() {
-                        vec![log_incarnation]
-                    } else {
-                        shard_log_incarnations
-                    },
+                    log_incarnations: shard_log_incarnations,
                 },
                 resumed,
                 stale,
@@ -477,7 +453,7 @@ impl DbClient {
         // reports stale any copy it cannot prove current.
         let manifest: Vec<(Oid, u64)> = self.cache.oids().into_iter().map(|oid| (oid, 0)).collect();
         // The per-shard notification cursors travel with the resume
-        // token (version-2 form) so the server can decide up front, per
+        // token so the server can decide up front, per
         // shard, whether that shard's update log still covers everything
         // this client missed. Shards the client has no ack from yet ride
         // along with cursor 0, paired with the log incarnation learned
@@ -505,7 +481,7 @@ impl DbClient {
                 token,
                 incarnation,
                 manifest,
-                cursors: ResumeCursors::Shards(shard_cursors),
+                cursors: shard_cursors,
             }),
         )?;
         let recovery = &self.conn_stats.recovery;
@@ -544,7 +520,7 @@ impl DbClient {
                 // cursors: catch-up instead of resync across a restart.
                 recovery.cross_restart_replays.inc();
             }
-            self.dlc.backend().replay_from_shards(&replay_cursors)?;
+            self.dlc.backend().replay_from(&replay_cursors)?;
         } else {
             if outcome.resumed {
                 recovery.replay_truncations.inc();
@@ -583,8 +559,8 @@ impl DbClient {
         agent_cell.set(Arc::clone(&agent));
         self.dlc.relock_all()?;
         // Ask the agent to replay the notification suffix past our
-        // cursor. If its log no longer covers the cursor (or logging is
-        // off) it answers with ResyncRequired for the watched set, which
+        // cursor. If its log no longer covers the cursor it answers
+        // with ResyncRequired for the watched set, which
         // the dispatch path turns into forced refreshes — so the blanket
         // "resync everything watched" only happens when it truly must.
         // A changed incarnation means our cursor's seqno space is gone
@@ -592,7 +568,7 @@ impl DbClient {
         // round-trip and resync outright. An *absent* previous
         // incarnation is a mismatch, not a wildcard — with no proof the
         // seqno space survived, a replay could silently skip updates.
-        let cursor = self.dlc.cursor();
+        let cursor = self.dlc.cursor_of(0);
         let incarnation_ok = prev_incarnation != 0 && prev_incarnation == incarnation;
         let replayed = incarnation_ok && agent.replay_from(cursor, incarnation).is_ok();
         if replayed {

@@ -44,44 +44,14 @@ pub trait DlmBackend: Send + Sync {
     fn report_intent(&self, oids: Vec<Oid>, txn: TxnId) -> DbResult<()>;
     /// Report an intention's resolution (agent deployment only).
     fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()>;
-    /// Ask the DLM to replay every logged update after `cursor` that
-    /// intersects this client's interests. The suffix (or a
-    /// `ResyncRequired` fallback when the cursor was truncated) arrives
-    /// on the notification stream. Backends that predate the update log
-    /// report `Disconnected` so callers fall back to a full resync.
-    ///
-    /// `incarnation` names the log incarnation the cursor was acked
-    /// under (DESIGN.md § 14); 0 means "don't care" — correct whenever
-    /// cursor and log provably share a lifetime (same live connection,
-    /// or an in-process backend).
-    fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        let _ = (cursor, incarnation);
-        Err(displaydb_common::DbError::Disconnected)
-    }
-    /// Shard-aware replay (DESIGN.md § 16): replay one shard's log from
-    /// that shard's cursor. The default maps shard 0 onto the legacy
-    /// single-cursor [`Self::replay_from`] — correct against an unsharded
-    /// DLM, whose only seqno space *is* shard 0 — and reports
-    /// `Disconnected` for any other shard so callers fall back to a
-    /// resync.
-    fn replay_from_shard(&self, shard: u32, cursor: u64, incarnation: u64) -> DbResult<()> {
-        if shard == 0 {
-            self.replay_from(cursor, incarnation)
-        } else {
-            let _ = (cursor, incarnation);
-            Err(displaydb_common::DbError::Disconnected)
-        }
-    }
-    /// Fan a recovery out across shards: replay each `(shard, cursor)`
-    /// pair. Backends with a shard-vector wire request override this
-    /// with one message; the default loops over
-    /// [`Self::replay_from_shard`].
-    fn replay_from_shards(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
-        for &(shard, cursor) in cursors {
-            self.replay_from_shard(shard, cursor, 0)?;
-        }
-        Ok(())
-    }
+    /// Ask the DLM to replay, for each `(shard, cursor)` pair, every
+    /// update logged in that shard after the cursor that intersects this
+    /// client's interests (DESIGN.md §§ 13, 16). The suffixes (or a
+    /// `ResyncRequired` fallback for a shard whose log no longer covers
+    /// its cursor) arrive on the notification stream. The cursors were
+    /// acked on this backend's live connection, so cursor and log share
+    /// an incarnation.
+    fn replay_from(&self, cursors: &[(u32, u64)]) -> DbResult<()>;
 }
 
 /// Agent deployment: the backend is a dedicated DLM connection.
@@ -104,12 +74,16 @@ impl DlmBackend for DlmAgentConnection {
     fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()> {
         DlmAgentConnection::report_resolution(self, oids, txn, committed)
     }
-    fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        DlmAgentConnection::replay_from(self, cursor, incarnation)
+    /// The agent runs one shard (one DLM process, one log): its one
+    /// cursor entry maps onto the agent's `ReplayFrom`.
+    fn replay_from(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
+        match cursors {
+            [(0, cursor)] => DlmAgentConnection::replay_from(self, *cursor, 0),
+            _ => Err(displaydb_common::DbError::InvalidArgument(format!(
+                "the DLM agent has one shard, got cursors {cursors:?}"
+            ))),
+        }
     }
-    // The agent deployment stays single-shard (one DLM process, one
-    // log): the default shard-0 mapping of `replay_from_shard` is
-    // exactly right, so no override.
 }
 
 /// What a display receives from its DLC subscription: either a DLM
@@ -127,10 +101,10 @@ pub enum DlcEvent {
     /// resynced via `Dlm(Updated)` events, so remaining stale marks can
     /// be cleared.
     Restored,
-    /// The server demoted this client to resync-only delivery because it
-    /// persistently overflowed its notification outbox. Per-object
-    /// notifications may have been collapsed into resync sweeps; displays
-    /// should render their content as stale until refreshes land.
+    /// The server marked this client as lagging because it persistently
+    /// overflowed its notification outbox. Per-object notifications were
+    /// swept in favour of a replay; displays should render their content
+    /// as stale until refreshes land.
     Lagging,
 }
 
@@ -158,7 +132,7 @@ pub struct DlcStats {
     /// Cursor acknowledgements received (the server confirming every
     /// logged update through a seqno reached this client).
     pub cursor_acks_in: Counter,
-    /// `ReplayNeeded` markers answered with a `ReplayFrom{cursor}`.
+    /// `ReplayNeeded` markers answered with a replay request.
     pub replays_requested: Counter,
     /// Cursor acks that regressed (lower seqno than already recorded).
     /// Expected exactly when the DLM restarted with a fresh seqno space;
@@ -253,11 +227,10 @@ pub struct Dlc {
     delta_hook: OrderedMutex<Option<DeltaHook>>,
     /// Last update-log seqno the server acknowledged as fully
     /// delivered, per DLM shard (DESIGN.md §§ 13, 16): index = shard,
-    /// grown on demand as tagged acks arrive. An unsharded DLM only
-    /// ever acks shard 0, so the vector degenerates to the old single
-    /// cursor. Carried in the resume token (as a cursor vector) so
-    /// reconnects can recover with a shard-parallel replay instead of a
-    /// full resync. Leaf lock: taken alone, updated, released — never
+    /// grown on demand as acks arrive. An unsharded DLM only ever acks
+    /// shard 0, so the vector has one entry. Carried in the resume token
+    /// so reconnects can recover with a shard-parallel replay instead of
+    /// a full resync. Leaf lock: taken alone, updated, released — never
     /// nested.
     cursors: OrderedMutex<Vec<u64>>,
 }
@@ -289,14 +262,8 @@ impl Dlc {
         }
     }
 
-    /// The last server-acknowledged update-log seqno of shard 0 (0 =
-    /// never acked, replay-from-0 streams the whole retained log).
-    /// Against an unsharded DLM this is *the* cursor.
-    pub fn cursor(&self) -> u64 {
-        self.cursors.lock().first().copied().unwrap_or(0)
-    }
-
-    /// The last acknowledged seqno in `shard`'s log (0 = never acked).
+    /// The last acknowledged seqno in `shard`'s log (0 = never acked,
+    /// replay-from-0 streams the whole retained log).
     pub fn cursor_of(&self, shard: u32) -> u64 {
         self.cursors
             .lock()
@@ -325,8 +292,7 @@ impl Dlc {
         self.cursors.lock().clear();
     }
 
-    /// Record one shard-tagged cursor acknowledgement, monotone per
-    /// shard.
+    /// Record one cursor acknowledgement, monotone per shard.
     fn record_ack(&self, shard: u32, seqno: u64) {
         self.stats.cursor_acks_in.inc();
         let mut cursors = self.cursors.lock();
@@ -551,49 +517,27 @@ impl Dlc {
         // Cursor-protocol control events are connection plumbing, not
         // notifications: handle them before the notification counters.
         match &event {
-            // An untagged ack comes from an unsharded DLM, whose one
-            // seqno space is shard 0 by definition.
-            DlmEvent::CursorAck { seqno } => {
-                self.record_ack(0, *seqno);
-                return;
-            }
-            DlmEvent::ShardCursorAck { shard, seqno } => {
+            DlmEvent::CursorAck { shard, seqno } => {
                 self.record_ack(*shard, *seqno);
                 return;
             }
-            DlmEvent::ReplayNeeded { .. } => {
-                // The outbox swept our backlog into the update log.
-                // Answer with ReplayFrom — from a detached thread, NOT
-                // here: in the integrated deployment this dispatch runs
-                // on the connection reader, and the replay request is a
-                // blocking call whose response needs that same reader.
+            DlmEvent::ReplayNeeded { shard, .. } => {
+                // The outbox swept one shard's backlog into its update
+                // log: only that shard replays, the other shards'
+                // streams flow on undisturbed. Answer from a detached
+                // thread, NOT here: in the integrated deployment this
+                // dispatch runs on the connection reader, and the replay
+                // request is a blocking call whose response needs that
+                // same reader. On error the connection is dying;
+                // supervisor-driven reconnect recovery (replay or
+                // resync) takes over.
                 self.stats.replays_requested.inc();
                 let backend = Arc::clone(&self.backend);
-                let cursor = self.cursor();
-                // On error the connection is dying; supervisor-driven
-                // reconnect recovery (replay or resync) takes over.
-                // Incarnation 0: the marker arrived on a live connection,
-                // so cursor and log cannot have diverged.
+                let cursors = [(*shard, self.cursor_of(*shard))];
                 let _ = std::thread::Builder::new()
                     .name("dlc-replay".into())
                     .spawn(move || {
-                        let _ = backend.replay_from(cursor, 0);
-                    });
-                return;
-            }
-            DlmEvent::ShardReplayNeeded { shard, .. } => {
-                // Same as ReplayNeeded, scoped to one shard's seqno
-                // space: only that shard's backlog was swept, so only
-                // that shard replays — the other shards' streams flow
-                // on undisturbed.
-                self.stats.replays_requested.inc();
-                let backend = Arc::clone(&self.backend);
-                let shard = *shard;
-                let cursor = self.cursor_of(shard);
-                let _ = std::thread::Builder::new()
-                    .name("dlc-replay".into())
-                    .spawn(move || {
-                        let _ = backend.replay_from_shard(shard, cursor, 0);
+                        let _ = backend.replay_from(&cursors);
                     });
                 return;
             }
@@ -632,21 +576,17 @@ impl Dlc {
                 }
                 *oid
             }
-            DlmEvent::Batch(_)
-            | DlmEvent::CursorAck { .. }
-            | DlmEvent::ShardCursorAck { .. }
-            | DlmEvent::ReplayNeeded { .. }
-            | DlmEvent::ShardReplayNeeded { .. } => {
+            DlmEvent::Batch(_) | DlmEvent::CursorAck { .. } | DlmEvent::ReplayNeeded { .. } => {
                 unreachable!("handled above")
             }
             // Ready is a connection-level handshake ack, not an object
             // notification; it never reaches the dispatch path.
             DlmEvent::Ready { .. } => return,
-            // The server's outbox overflowed and swept queued per-object
-            // notifications into one marker: answer by forcing re-reads
-            // of the watched subset (the same machinery a reconnect
-            // uses), which converges the view without ever replaying the
-            // lost burst.
+            // A replay found our cursor truncated out of a shard's log
+            // (or from another log incarnation): answer by forcing
+            // re-reads of the watched subset (the same machinery a
+            // reconnect uses), which converges the view without the
+            // lost updates.
             DlmEvent::ResyncRequired { oids } => {
                 self.stats.resyncs_in.inc();
                 // A full resync re-baselines the view, so the cursor is
@@ -657,8 +597,8 @@ impl Dlc {
                 self.resync(oids);
                 return;
             }
-            // The server demoted this client to resync-only delivery;
-            // every display should render stale until refreshes land.
+            // The server marked this client as lagging; every display
+            // should render stale until refreshes land.
             DlmEvent::Lagging => {
                 self.broadcast(DlcEvent::Lagging);
                 return;
@@ -822,12 +762,8 @@ mod tests {
         fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
             Ok(())
         }
-        fn replay_from(&self, cursor: u64, _incarnation: u64) -> DbResult<()> {
-            self.replays.lock().push((0, cursor));
-            Ok(())
-        }
-        fn replay_from_shard(&self, shard: u32, cursor: u64, _incarnation: u64) -> DbResult<()> {
-            self.replays.lock().push((shard, cursor));
+        fn replay_from(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
+            self.replays.lock().extend_from_slice(cursors);
             Ok(())
         }
     }
@@ -1189,17 +1125,17 @@ mod tests {
     fn shard_cursor_acks_track_independent_spaces() {
         let backend: Arc<dyn DlmBackend> = Arc::new(MockBackend::default());
         let dlc = Dlc::new(backend);
-        // Untagged acks are shard 0; tagged acks land in their slot.
-        dlc.dispatch(DlmEvent::CursorAck { seqno: 5 });
-        dlc.dispatch(DlmEvent::ShardCursorAck { shard: 2, seqno: 9 });
-        dlc.dispatch(DlmEvent::ShardCursorAck { shard: 0, seqno: 7 });
-        assert_eq!(dlc.cursor(), 7);
+        // Each ack lands in its shard's slot.
+        dlc.dispatch(DlmEvent::CursorAck { shard: 0, seqno: 5 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 2, seqno: 9 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 0, seqno: 7 });
+        assert_eq!(dlc.cursor_of(0), 7);
         assert_eq!(dlc.cursor_of(1), 0, "untouched shard stays at 0");
         assert_eq!(dlc.cursor_of(2), 9);
         assert_eq!(dlc.cursors(), vec![(0, 7), (1, 0), (2, 9)]);
         assert_eq!(dlc.stats().cursor_acks_in.get(), 3);
         // A regressed ack in one shard gaps only that shard's space.
-        dlc.dispatch(DlmEvent::ShardCursorAck { shard: 2, seqno: 3 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 2, seqno: 3 });
         assert_eq!(dlc.cursor_of(2), 9, "cursor stays monotone");
         assert_eq!(dlc.stats().cursor_gaps.get(), 1);
         // A full resync voids every shard's cursor.
@@ -1209,14 +1145,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_replay_needed_replays_that_shard_only() {
+    fn replay_needed_replays_that_shard_only() {
         let backend = Arc::new(MockBackend::default());
         let dlc = Dlc::new(Arc::clone(&backend) as Arc<dyn DlmBackend>);
-        dlc.dispatch(DlmEvent::ShardCursorAck {
+        dlc.dispatch(DlmEvent::CursorAck {
             shard: 3,
             seqno: 11,
         });
-        dlc.dispatch(DlmEvent::ShardReplayNeeded { shard: 3, from: 8 });
+        dlc.dispatch(DlmEvent::ReplayNeeded { shard: 3, from: 8 });
         // The replay request goes out from a detached thread.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         loop {
@@ -1250,6 +1186,9 @@ mod tests {
                 Ok(())
             }
             fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
+                Ok(())
+            }
+            fn replay_from(&self, _: &[(u32, u64)]) -> DbResult<()> {
                 Ok(())
             }
         }

@@ -75,6 +75,22 @@ impl Gauge {
             });
     }
 
+    /// Add `n` to the current value, updating the high-water mark. Lets
+    /// several owners share one gauge as a sum of their contributions.
+    pub fn add(&self, n: u64) {
+        let now = self.cur.fetch_add(n, Ordering::Relaxed) + n;
+        self.max.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Subtract `n` (saturating at zero).
+    pub fn sub(&self, n: u64) {
+        let _ = self
+            .cur
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(n))
+            });
+    }
+
     /// Set the current depth outright, updating the high-water mark.
     pub fn set(&self, v: u64) {
         self.cur.store(v, Ordering::Relaxed);
@@ -473,7 +489,7 @@ impl SegLogStats {
 
 /// Counters for the overload-protection layer (DESIGN.md § 9).
 ///
-/// Shared (via `Clone`) between the per-client outboxes, the server
+/// Shared (via `Clone`) between the per-session outboxes, the server
 /// session layer's admission control, and the DLC, so the experiment
 /// harness can report backpressure behaviour under storm load.
 #[derive(Clone, Debug, Default)]
@@ -486,12 +502,14 @@ pub struct OverloadStats {
     /// `Marked`/`Resolved` pairs for the same (OID, txn) that cancelled
     /// out while still queued.
     pub cancelled_pairs: Counter,
-    /// High-water sweeps: queue replaced by one `ResyncRequired`.
+    /// High-water sweeps: one shard's queue replaced by one
+    /// `ReplayNeeded` marker.
     pub overflows: Counter,
-    /// `ResyncRequired` markers actually enqueued (≤ overflows, since
-    /// resync-only mode folds repeats into the pending marker).
+    /// `ResyncRequired` markers enqueued by an overflow sweep. Overflow
+    /// now always sweeps to `ReplayNeeded`, so this stays 0; it is kept
+    /// because the R2 experiment reports it.
     pub resyncs_sent: Counter,
-    /// Clients demoted to resync-only (lagging) mode.
+    /// Clients demoted as lagging consumers.
     pub lagging_transitions: Counter,
     /// Requests shed by admission control with `Overloaded`.
     pub sheds: Counter,
@@ -506,8 +524,8 @@ pub struct OverloadStats {
     /// Encoded bytes of notification traffic pushed toward clients
     /// (counted at the transport sink, after coalescing and batching).
     pub notify_bytes: Counter,
-    /// Depth of the deepest outbox / subscriber queue (current and
-    /// high-water): the memory-bound evidence.
+    /// Depth of the deepest outbox queue (current and high-water): the
+    /// memory-bound evidence.
     pub queue_depth: Gauge,
 }
 

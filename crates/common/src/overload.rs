@@ -9,12 +9,13 @@
 //!   whose queue never exceeds [`OverloadConfig::outbox_high_water`]
 //!   entries; a dedicated writer thread drains it so a blocked send
 //!   never runs inside the fan-out loop,
-//! * **overflow-to-resync** — on hitting the high-water mark the queue
-//!   is swept into a single `ResyncRequired` marker (memory becomes
-//!   O(watched objects), not O(update rate × stall time)),
+//! * **overflow-to-replay** — on hitting the high-water mark a shard's
+//!   queue is swept into a single `ReplayNeeded` marker and the client
+//!   catches up from the update log (memory becomes O(watched objects),
+//!   not O(update rate × stall time)),
 //! * **slow-consumer demotion** — after
 //!   [`OverloadConfig::lagging_after_overflows`] consecutive sweeps the
-//!   client is demoted to resync-only mode and told it is lagging,
+//!   client is told it is lagging,
 //! * **admission control** — the server sheds requests beyond
 //!   [`OverloadConfig::max_in_flight`] concurrent ones per session with
 //!   a retryable `Overloaded` error.
@@ -25,16 +26,16 @@ use std::time::Duration;
 /// inside the existing `Copy` config structs (e.g. the DLM's).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverloadConfig {
-    /// Maximum events queued in one client outbox before the queue is
-    /// swept into a single `ResyncRequired` marker.
+    /// Maximum events queued in one shard's queue of a client outbox
+    /// before that queue is swept into a single `ReplayNeeded` marker.
     ///
     /// Default 64: a display tracking N objects needs at most one
     /// `Updated` per object after coalescing, so 64 covers a generously
-    /// sized window before resync becomes cheaper than replay.
+    /// sized window before the backlog is better served from the log.
     pub outbox_high_water: usize,
     /// Consecutive overflow sweeps after which a client is considered a
-    /// slow consumer and demoted to resync-only mode (sticky until its
-    /// outbox fully drains). Default 3: one sweep can be a blip; three
+    /// slow consumer and told it is lagging (until the client replays).
+    /// Default 3: one sweep can be a blip; three
     /// in a row without draining means the consumer is persistently
     /// slower than the update storm.
     pub lagging_after_overflows: u32,
@@ -97,10 +98,10 @@ impl Default for OverloadConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateLogConfig {
     /// Maximum retained log entries (one entry per committed batch).
-    /// 0 disables the log entirely: overflow and reconnect fall back to
-    /// the pre-replay `ResyncRequired` paths.
+    /// Must be at least 1 (see [`UpdateLogConfig::validate`]).
     pub max_entries: usize,
-    /// Maximum total estimated bytes retained across all entries.
+    /// Maximum total estimated bytes retained across all entries. Must
+    /// be at least 1.
     pub max_bytes: usize,
 }
 
@@ -123,17 +124,16 @@ impl UpdateLogConfig {
         Self::default()
     }
 
-    /// A disabled log: recovery uses the legacy full-resync paths.
-    pub fn disabled() -> Self {
-        Self {
-            max_entries: 0,
-            max_bytes: 0,
+    /// Reject a zero capacity: the log is always on, and a log that can
+    /// retain nothing would turn every recovery into a resync.
+    pub fn validate(&self) -> crate::DbResult<()> {
+        if self.max_entries == 0 || self.max_bytes == 0 {
+            return Err(crate::DbError::InvalidArgument(format!(
+                "update log capacity must be nonzero (max_entries {}, max_bytes {})",
+                self.max_entries, self.max_bytes
+            )));
         }
-    }
-
-    /// Whether replay is available at all under this config.
-    pub fn enabled(&self) -> bool {
-        self.max_entries > 0 && self.max_bytes > 0
+        Ok(())
     }
 }
 
@@ -232,11 +232,19 @@ mod tests {
     }
 
     #[test]
-    fn update_log_defaults_and_disable() {
+    fn update_log_defaults_validate_and_zero_is_rejected() {
         let l = UpdateLogConfig::default();
-        assert!(l.enabled());
+        assert!(l.validate().is_ok());
         assert!(l.max_entries >= 64, "must outlast a reconnect window");
-        assert!(!UpdateLogConfig::disabled().enabled());
+        for zero in [
+            UpdateLogConfig {
+                max_entries: 0,
+                ..l
+            },
+            UpdateLogConfig { max_bytes: 0, ..l },
+        ] {
+            assert!(zero.validate().is_err());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! The rule is enforced twice:
 //!
-//! * **statically** by the `lockcheck` workspace linter, which maps lock
+//! * **statically** by the `invcheck` workspace linter, which maps lock
 //!   call sites to this same registry and rejects acquisition-order
 //!   cycles at lint time, and
 //! * **dynamically** under the `lock-audit` feature (on in debug/test
@@ -88,8 +88,8 @@ impl LockRank {
 /// The declared lock registry: every ranked lock in the workspace, one
 /// constant per lock (or per multi-instance lock class).
 ///
-/// The table is mirrored by `crates/lockcheck`'s static registry (which
-/// maps source call sites to these ranks); a lockcheck self-test fails
+/// The table is mirrored by `crates/invcheck`'s static registry (which
+/// maps source call sites to these ranks); an invcheck self-test fails
 /// if the two drift apart. Gaps between ranks are deliberate room for
 /// future locks. See DESIGN.md § 11 for the rank table with
 /// guards-what documentation.
@@ -167,7 +167,7 @@ pub mod ranks {
     pub const DLM_SHARD_LOG: LockRank = LockRank::new_multi(386, "dlm.shard_log");
     /// The DLM agent's live session-channel list.
     pub const DLM_AGENT_SESSIONS: LockRank = LockRank::new(390, "dlm.agent_sessions");
-    /// A per-client outbox's coalescing queue + writer state.
+    /// A session outbox's per-shard coalescing queues + writer state.
     pub const OUTBOX_STATE: LockRank = LockRank::new_multi(400, "outbox.state");
 
     // Storage engine (inner: reached from server request paths).
@@ -209,7 +209,7 @@ pub mod ranks {
     /// The trace module's ring-buffered event sink.
     pub const TRACE_SINK: LockRank = LockRank::new(700, "trace.sink");
 
-    /// Every declared rank, sorted ascending. The lockcheck registry and
+    /// Every declared rank, sorted ascending. The invcheck registry and
     /// DESIGN.md § 11 table are validated against this list.
     pub const ALL: &[LockRank] = &[
         STATS_REGISTRY,

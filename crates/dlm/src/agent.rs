@@ -8,7 +8,7 @@
 //! connection.
 
 use crate::core::{DlmCore, EventSink};
-use crate::outbox::OutboxSink;
+use crate::outbox::{FrontierRecorder, OutboxSink};
 use crate::proto::{DlmEvent, DlmRequest, UpdateInfo};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
@@ -139,31 +139,29 @@ fn session_loop(core: Arc<DlmCore>, channel: Arc<dyn Channel>) {
     }
     // The wire sink is wrapped in a bounded outbox (DESIGN.md § 9): the
     // fan-out loop only ever enqueues, and the outbox's writer thread
-    // absorbs a slow or stalled client connection.
-    // With a durable log behind the DLM, every cursor the outbox acks is
-    // spilled as a frontier record so the client can resume past a
-    // restart.
-    let recorder: Option<Arc<dyn Fn(u64) + Send + Sync>> = if core.update_log().is_durable() {
+    // absorbs a slow or stalled client connection. The agent runs one
+    // shard. With a durable log behind the DLM, every cursor the outbox
+    // acks is spilled as a frontier record so the client can resume past
+    // a restart.
+    let recorder: Option<FrontierRecorder> = if core.update_log().is_durable() {
         let rec_core = Arc::clone(&core);
-        Some(Arc::new(move |cursor| {
+        Some(Arc::new(move |_shard, cursor| {
             let _ = rec_core.update_log().record_frontier(client, cursor);
         }))
     } else {
         None
     };
-    core.register_client(
-        client,
-        OutboxSink::wrap_with_recorder(
-            Arc::new(ChannelSink {
-                channel: Arc::clone(&channel),
-                bytes: core.stats().overload.notify_bytes.clone(),
-            }),
-            core.config().overload,
-            core.stats().overload.clone(),
-            core.update_log().enabled(),
-            recorder,
-        ),
+    let outbox = OutboxSink::new(
+        Arc::new(ChannelSink {
+            channel: Arc::clone(&channel),
+            bytes: core.stats().overload.notify_bytes.clone(),
+        }),
+        1,
+        core.config().overload,
+        core.stats().overload.clone(),
+        recorder,
     );
+    core.register_client(client, outbox.shard(0));
     while let Ok(frame) = channel.recv() {
         let request = match DlmRequest::decode_from_bytes(&frame) {
             Ok(r) => r,

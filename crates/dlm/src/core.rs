@@ -41,12 +41,12 @@ pub struct DlmConfig {
     /// The paper's clients refresh their own displays locally, so the
     /// default skips the originator.
     pub notify_originator: bool,
-    /// Overload-protection knobs for the per-client outboxes wrapped
+    /// Overload-protection knobs for the per-session outboxes wrapped
     /// around the sinks (DESIGN.md § 9).
     pub overload: OverloadConfig,
     /// Sizing for the bounded replayable update log (DESIGN.md § 13).
-    /// `UpdateLogConfig::disabled()` turns replay off and restores the
-    /// legacy resync-only recovery paths.
+    /// The log is always on; recovery is a cursor replay, with resync
+    /// only when a cursor fell out of it.
     pub log: UpdateLogConfig,
     /// Number of in-process shards the integrated DLM is partitioned
     /// into (DESIGN.md § 16). 1 = the classic single-table DLM; each
@@ -89,7 +89,7 @@ pub struct DlmStats {
     pub intent_notifications: Counter,
     /// Deliveries that failed (dead client).
     pub delivery_failures: Counter,
-    /// Backpressure counters for the per-client outboxes.
+    /// Backpressure counters for the per-session outboxes.
     pub overload: OverloadStats,
     /// Replay-log counters (appends, evictions, replays served); shared
     /// with the [`UpdateLog`] and registered as its own stats section.

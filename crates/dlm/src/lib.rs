@@ -33,6 +33,6 @@ pub mod shard;
 pub use crate::core::{DlmConfig, DlmCore, DlmStats, EventSink, NotifyProtocol, ReplayOutcome};
 pub use crate::log::{DurableRecovery, LogEntry, ReplaySlice, UpdateLog};
 pub use agent::{DlmAgent, DlmAgentConnection};
-pub use outbox::{CoalescingQueue, OutboxSink, Pushed};
+pub use outbox::{CoalescingQueue, FrontierRecorder, OutboxSink, Pushed};
 pub use proto::{AttrChanges, DlmEvent, DlmRequest, UpdateInfo};
-pub use shard::{ShardMap, ShardStats, ShardTagSink, ShardedDlm};
+pub use shard::{ShardMap, ShardStats, ShardedDlm};

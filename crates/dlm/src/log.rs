@@ -8,7 +8,7 @@
 //! that was demoted as lagging) catches up by replaying every entry past
 //! its **cursor** — the last seqno it fully applied — filtered through
 //! its registered interests. Only when the cursor has been evicted does
-//! recovery degrade to the legacy full `ResyncRequired`.
+//! recovery degrade to a full `ResyncRequired`.
 //!
 //! The log stores the *reported* updates, not the per-holder events:
 //! replay re-runs the same interest intersection the live fan-out path
@@ -289,8 +289,8 @@ impl UpdateLog {
                 bytes: eb,
             });
         }
-        stats.log_entries.set(entries.len() as u64);
-        stats.log_bytes.set(bytes as u64);
+        stats.log_entries.add(entries.len() as u64);
+        stats.log_bytes.add(bytes as u64);
         let recovery = DurableRecovery {
             incarnation: rec.incarnation,
             incarnation_recovered: rec.incarnation_recovered,
@@ -318,16 +318,9 @@ impl UpdateLog {
         Ok((log, recovery))
     }
 
-    /// Whether replay is available at all (a zero-sized log disables the
-    /// mechanism and recovery uses the legacy resync paths).
-    pub fn enabled(&self) -> bool {
-        self.config.enabled()
-    }
-
     /// Append one committed batch and return its seqno. Returns
-    /// `Ok(None)` when the log is disabled or the batch is empty
-    /// (nothing to replay); the seqno space does not advance in either
-    /// case. `txn` is the committing transaction (0 = unknown), stamped
+    /// `Ok(None)` when the batch is empty (nothing to replay); the seqno
+    /// space does not advance then. `txn` is the committing transaction (0 = unknown), stamped
     /// on the durable record for the restart WAL cross-check.
     ///
     /// When the log is durable, the batch reaches stable storage
@@ -339,7 +332,7 @@ impl UpdateLog {
         updates: &[UpdateInfo],
         txn: u64,
     ) -> DbResult<Option<u64>> {
-        if !self.enabled() || updates.is_empty() {
+        if updates.is_empty() {
             return Ok(None);
         }
         let bytes = estimate_bytes(updates);
@@ -359,6 +352,8 @@ impl UpdateLog {
         });
         inner.bytes += bytes;
         self.stats.appended.inc();
+        self.stats.log_entries.inc();
+        self.stats.log_bytes.add(bytes as u64);
         // Evict from the front until both caps hold again. A single
         // oversized entry may be evicted immediately after insertion —
         // the seqno still advances, so its absence is a truncation the
@@ -369,10 +364,10 @@ impl UpdateLog {
             if let Some(evicted) = inner.entries.pop_front() {
                 inner.bytes -= evicted.bytes;
                 self.stats.evicted.inc();
+                self.stats.log_entries.dec();
+                self.stats.log_bytes.sub(evicted.bytes as u64);
             }
         }
-        self.stats.log_entries.set(inner.entries.len() as u64);
-        self.stats.log_bytes.set(inner.bytes as u64);
         Ok(Some(seqno))
     }
 
@@ -380,9 +375,6 @@ impl UpdateLog {
     /// durable, spill it so a restart can tell which cursors are live.
     /// Called by the outbox writers at `CursorAck` synthesis time.
     pub fn record_frontier(&self, client: ClientId, cursor: u64) -> DbResult<()> {
-        if !self.enabled() {
-            return Ok(());
-        }
         let mut inner = self.inner.lock();
         let e = inner.frontiers.entry(client).or_insert(0);
         if cursor <= *e {
@@ -411,7 +403,7 @@ impl UpdateLog {
     /// server compute a cross-restart stale set from the durable window
     /// when its in-memory version map did not survive.
     pub fn changed_since(&self, cursor: u64) -> Option<Vec<Oid>> {
-        if !self.enabled() || !self.is_durable() {
+        if !self.is_durable() {
             return None;
         }
         let inner = self.inner.lock();
@@ -471,9 +463,6 @@ impl UpdateLog {
     /// future (a restarted DLM has a fresh seqno space — a stale cursor
     /// past the head must fall back to resync, not silently match).
     pub fn contains(&self, cursor: u64) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         let inner = self.inner.lock();
         let head = inner.next_seqno - 1;
         let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
@@ -488,7 +477,7 @@ impl UpdateLog {
         let inner = self.inner.lock();
         let head = inner.next_seqno - 1;
         let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
-        if !self.enabled() || cursor.saturating_add(1) < first || cursor > head {
+        if cursor.saturating_add(1) < first || cursor > head {
             return ReplaySlice::Truncated { head };
         }
         let entries: Vec<LogEntry> = inner
@@ -507,11 +496,11 @@ impl UpdateLog {
     pub fn truncate_all(&self) {
         let mut inner = self.inner.lock();
         let evicted = inner.entries.len() as u64;
+        self.stats.evicted.add(evicted);
+        self.stats.log_entries.sub(evicted);
+        self.stats.log_bytes.sub(inner.bytes as u64);
         inner.entries.clear();
         inner.bytes = 0;
-        self.stats.evicted.add(evicted);
-        self.stats.log_entries.set(0);
-        self.stats.log_bytes.set(0);
     }
 
     /// Retained entry count (diagnostics).
@@ -625,12 +614,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_never_appends_or_replays() {
-        let l = UpdateLog::new(UpdateLogConfig::disabled(), UpdateLogStats::new());
-        assert!(!l.enabled());
-        assert_eq!(l.append(None, &upd(1), 0).unwrap(), None);
-        assert!(!l.contains(0));
-        assert!(matches!(l.replay_from(0), ReplaySlice::Truncated { .. }));
+    fn logs_sharing_stats_sum_their_gauges() {
+        let stats = UpdateLogStats::new();
+        let a = UpdateLog::new(UpdateLogConfig::default(), stats.clone());
+        let b = UpdateLog::new(UpdateLogConfig::default(), stats.clone());
+        let fat = vec![UpdateInfo::eager(Oid::new(1), vec![0u8; 100])];
+        a.append(None, &fat, 0).unwrap();
+        a.append(None, &upd(2), 0).unwrap();
+        b.append(None, &fat, 0).unwrap();
+        assert_eq!(stats.log_entries.get(), 3);
+        assert_eq!(stats.log_bytes.get(), 124 + 24 + 124);
+        a.truncate_all();
+        assert_eq!(stats.log_entries.get(), 1);
+        assert_eq!(stats.log_bytes.get(), 124);
     }
 
     #[test]

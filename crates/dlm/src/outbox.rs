@@ -1,49 +1,43 @@
-//! Per-client bounded outboxes with coalescing and overflow-to-resync
+//! Per-session bounded outboxes with coalescing and overflow-to-replay
 //! (DESIGN.md § 9).
 //!
 //! The fan-out loop in [`crate::core::DlmCore`] delivers synchronously,
 //! which is perfect for tests and for in-process sinks but means one
 //! stalled consumer can block delivery to every healthy one and one
 //! stalled *connection* can grow an unbounded send queue. Both
-//! deployments therefore wrap their per-client sinks in an
-//! [`OutboxSink`] at registration time:
+//! deployments therefore register their client sessions through an
+//! [`OutboxSink`]:
 //!
-//! * **bounded queue** — `deliver` is a non-blocking push into a
-//!   [`CoalescingQueue`] capped at the configured high-water mark; a
-//!   dedicated writer thread (`dlm-outbox`) drains it and performs the
-//!   actual (possibly blocking) send,
+//! * **one queue per shard** — each DLM shard enqueues into its own
+//!   bounded [`CoalescingQueue`] through [`OutboxSink::shard`]; `deliver`
+//!   is a non-blocking push capped at the configured high-water mark,
+//! * **one writer per session** — a single writer thread (`dlm-outbox`)
+//!   drains the session's queues round-robin into one wire frame and
+//!   performs the actual (possibly blocking) send,
 //! * **coalescing** — a newer `Updated{oid}` replaces a queued one in
 //!   place (latest state wins, queue position preserved so nothing
 //!   reorders), and a `Resolved` cancels its still-queued `Marked`,
-//! * **overflow-to-resync** — breaching the high-water mark sweeps the
-//!   queue into a single `ResyncRequired{oids}` marker: the client
-//!   re-reads those objects instead of replaying a backlog, bounding
-//!   memory at O(watched objects),
-//! * **slow-consumer demotion** — after N consecutive sweeps the client
-//!   enters *resync-only* ("lagging") mode: every notification folds
-//!   into the pending resync marker and a single [`DlmEvent::Lagging`]
-//!   tells the display layer to render staleness. The mode clears once
-//!   the outbox fully drains.
+//! * **overflow-to-replay** — breaching a queue's high-water mark sweeps
+//!   that queue into a single `ReplayNeeded{shard}` marker: the backlog
+//!   is already retained in the shard's update log, so the client
+//!   catches up by cursor replay, and memory stays bounded,
+//! * **slow-consumer demotion** — after N consecutive sweeps of a queue
+//!   the client is marked *lagging* and a single [`DlmEvent::Lagging`]
+//!   tells the display layer to render staleness until it replays.
+//!
+//! Every per-shard queue keeps its own high-water mark, sweep, lagging
+//! state and seqno frontier, so overload on one shard never interrupts
+//! another shard's stream; only the writer thread and the inner sink are
+//! shared.
 
 use crate::core::EventSink;
 use crate::proto::DlmEvent;
-use displaydb_common::metrics::{Gauge, OverloadStats};
+use displaydb_common::metrics::OverloadStats;
 use displaydb_common::sync::{ranks, OrderedCondvar, OrderedMutex};
-use displaydb_common::{DbResult, Oid, OverloadConfig};
+use displaydb_common::{DbError, DbResult, Oid, OverloadConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What an overflow sweep replaces the queue with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SweepMode {
-    /// Legacy: one `ResyncRequired` covering every swept OID.
-    Resync,
-    /// Replay (DESIGN.md § 13): one `ReplayNeeded` marker — the backlog
-    /// is already retained in the DLM update log, so the client catches
-    /// up with `ReplayFrom{cursor}` instead of re-reading objects.
-    Replay,
-}
 
 /// What [`CoalescingQueue::push`] did with an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,8 +50,7 @@ pub enum Pushed {
     /// A queued `Marked` and this `Resolved` cancelled each other out.
     Cancelled,
     /// The push breached the high-water mark: the whole queue was swept
-    /// into one recovery marker (`ResyncRequired`, or `ReplayNeeded`
-    /// when the DLM retains an update log).
+    /// into one `ReplayNeeded` marker.
     Overflowed,
 }
 
@@ -69,13 +62,14 @@ struct Entry {
     seqno: u64,
 }
 
-/// A bounded notification queue with latest-state-wins coalescing.
+/// A bounded notification queue with latest-state-wins coalescing, for
+/// one DLM shard's events to one client.
 ///
 /// Pure data structure (no threads, no I/O) so its invariants are
-/// directly proptestable; [`OutboxSink`] owns one behind a mutex.
-/// Operations are linear scans over at most `high_water` entries, which
-/// is deliberate: the bound is small (default 64) and a scan of a short
-/// `VecDeque` beats maintaining index maps at these sizes.
+/// directly proptestable; [`OutboxSink`] owns one per shard behind a
+/// mutex. Operations are linear scans over at most `high_water` entries,
+/// which is deliberate: the bound is small (default 64) and a scan of a
+/// short `VecDeque` beats maintaining index maps at these sizes.
 ///
 /// Entries carry their log seqno so that replayed (older) events
 /// interleaving with live commits can never clobber newer queued state:
@@ -84,26 +78,19 @@ struct Entry {
 pub struct CoalescingQueue {
     queue: VecDeque<Entry>,
     high_water: usize,
-    sweep: SweepMode,
+    /// The shard whose events this queue holds; named in the
+    /// `ReplayNeeded` marker an overflow sweep leaves behind.
+    shard: u32,
 }
 
 impl CoalescingQueue {
-    /// An empty queue sweeping to resync past `high_water` entries.
-    pub fn new(high_water: usize) -> Self {
-        Self::with_mode(high_water, SweepMode::Resync)
-    }
-
-    /// An empty queue sweeping to a `ReplayNeeded` marker on overflow
-    /// (the backlog is retained in the DLM update log).
-    pub fn new_replay(high_water: usize) -> Self {
-        Self::with_mode(high_water, SweepMode::Replay)
-    }
-
-    fn with_mode(high_water: usize, sweep: SweepMode) -> Self {
+    /// An empty queue for `shard`'s events that sweeps to one
+    /// `ReplayNeeded{shard}` marker past `high_water` entries.
+    pub fn new(shard: u32, high_water: usize) -> Self {
         Self {
             queue: VecDeque::new(),
             high_water: high_water.max(2),
-            sweep,
+            shard,
         }
     }
 
@@ -115,18 +102,6 @@ impl CoalescingQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Whether a not-yet-delivered recovery marker (`ResyncRequired` or
-    /// `ReplayNeeded`) is queued. Used for marker accounting: a sweep
-    /// that folds into an existing marker did not send a new one.
-    pub fn has_pending_marker(&self) -> bool {
-        self.queue.iter().any(|e| {
-            matches!(
-                e.event,
-                DlmEvent::ResyncRequired { .. } | DlmEvent::ReplayNeeded { .. }
-            )
-        })
     }
 
     /// Remove and return the oldest event.
@@ -205,22 +180,25 @@ impl CoalescingQueue {
                     }
                 }
             }
-            DlmEvent::ReplayNeeded { from } => {
+            DlmEvent::ReplayNeeded { from, .. } => {
                 // One replay round covers everything: keep the highest
                 // `from` (purely diagnostic — the client replays from
                 // its own cursor).
                 for queued in self.queue.iter_mut() {
-                    if let DlmEvent::ReplayNeeded { from: existing } = &mut queued.event {
+                    if let DlmEvent::ReplayNeeded { from: existing, .. } = &mut queued.event {
                         *existing = (*existing).max(*from);
                         return Pushed::Coalesced;
                     }
                 }
             }
-            DlmEvent::CursorAck { seqno: ack } => {
+            DlmEvent::CursorAck { seqno: ack, .. } => {
                 // Writer-synthesized, normally never queued; defensively
                 // keep only the highest ack.
                 for queued in self.queue.iter_mut() {
-                    if let DlmEvent::CursorAck { seqno: existing } = &mut queued.event {
+                    if let DlmEvent::CursorAck {
+                        seqno: existing, ..
+                    } = &mut queued.event
+                    {
                         *existing = (*existing).max(*ack);
                         return Pushed::Coalesced;
                     }
@@ -287,237 +265,186 @@ impl CoalescingQueue {
                     }
                 }
             }
-            DlmEvent::ShardCursorAck { shard, seqno: ack } => {
-                // Same defensive coalescing as `CursorAck`, per shard.
-                for queued in self.queue.iter_mut() {
-                    if let DlmEvent::ShardCursorAck {
-                        shard: s,
-                        seqno: existing,
-                    } = &mut queued.event
-                    {
-                        if s == shard {
-                            *existing = (*existing).max(*ack);
-                            return Pushed::Coalesced;
-                        }
-                    }
-                }
-            }
-            DlmEvent::ShardReplayNeeded { shard, from } => {
-                // One replay round per shard covers that shard.
-                for queued in self.queue.iter_mut() {
-                    if let DlmEvent::ShardReplayNeeded {
-                        shard: s,
-                        from: existing,
-                    } = &mut queued.event
-                    {
-                        if s == shard {
-                            *existing = (*existing).max(*from);
-                            return Pushed::Coalesced;
-                        }
-                    }
-                }
-            }
             DlmEvent::Marked { .. } | DlmEvent::Ready { .. } | DlmEvent::Batch(_) => {}
         }
         self.queue.push_back(Entry { event, seqno });
         Pushed::Queued
     }
 
-    /// Replace everything queued with a single recovery marker: a
-    /// `ResyncRequired` covering every swept OID (legacy mode), or a
-    /// `ReplayNeeded` pointing at the log (replay mode).
+    /// Replace everything queued with a single `ReplayNeeded` marker.
+    /// The swept backlog lives in the update log; `from` is the highest
+    /// swept seqno, for diagnostics only (the client replays from its own
+    /// cursor).
     fn sweep_to_marker(&mut self) {
-        match self.sweep {
-            SweepMode::Resync => {
-                let mut oids: Vec<Oid> = Vec::new();
-                let mut add = |oid: Oid| {
-                    if !oids.contains(&oid) {
-                        oids.push(oid);
-                    }
-                };
-                for entry in self.queue.drain(..) {
-                    match entry.event {
-                        DlmEvent::Updated(info) => add(info.oid),
-                        DlmEvent::Marked { oid, .. }
-                        | DlmEvent::Resolved { oid, .. }
-                        | DlmEvent::Delta { oid, .. } => add(oid),
-                        DlmEvent::ResyncRequired { oids: swept } => {
-                            swept.into_iter().for_each(&mut add)
-                        }
-                        DlmEvent::Ready { .. }
-                        | DlmEvent::Lagging
-                        | DlmEvent::Batch(_)
-                        | DlmEvent::CursorAck { .. }
-                        | DlmEvent::ReplayNeeded { .. }
-                        | DlmEvent::ShardCursorAck { .. }
-                        | DlmEvent::ShardReplayNeeded { .. } => {}
-                    }
-                }
-                oids.sort_unstable();
-                self.queue.push_back(Entry {
-                    event: DlmEvent::ResyncRequired { oids },
-                    seqno: 0,
-                });
-            }
-            SweepMode::Replay => {
-                // The swept backlog lives in the update log; `from` is
-                // the highest swept seqno, for diagnostics only (the
-                // client replays from its own cursor).
-                let mut from = 0u64;
-                for entry in self.queue.drain(..) {
-                    from = from.max(entry.seqno);
-                    if let DlmEvent::ReplayNeeded { from: f } = entry.event {
-                        from = from.max(f);
-                    }
-                }
-                self.queue.push_back(Entry {
-                    event: DlmEvent::ReplayNeeded { from },
-                    seqno: 0,
-                });
+        let mut from = 0u64;
+        for entry in self.queue.drain(..) {
+            from = from.max(entry.seqno);
+            if let DlmEvent::ReplayNeeded { from: f, .. } = entry.event {
+                from = from.max(f);
             }
         }
-    }
-
-    /// Every OID the queued events reference (diagnostics/tests).
-    pub fn pending_oids(&self) -> Vec<Oid> {
-        let mut oids: Vec<Oid> = Vec::new();
-        for entry in &self.queue {
-            match &entry.event {
-                DlmEvent::Updated(info) => oids.push(info.oid),
-                DlmEvent::Marked { oid, .. }
-                | DlmEvent::Resolved { oid, .. }
-                | DlmEvent::Delta { oid, .. } => oids.push(*oid),
-                DlmEvent::ResyncRequired { oids: r } => oids.extend(r.iter().copied()),
-                DlmEvent::Ready { .. }
-                | DlmEvent::Lagging
-                | DlmEvent::Batch(_)
-                | DlmEvent::CursorAck { .. }
-                | DlmEvent::ReplayNeeded { .. }
-                | DlmEvent::ShardCursorAck { .. }
-                | DlmEvent::ShardReplayNeeded { .. } => {}
-            }
-        }
-        oids.sort_unstable();
-        oids.dedup();
-        oids
+        self.queue.push_back(Entry {
+            event: DlmEvent::ReplayNeeded {
+                shard: self.shard,
+                from,
+            },
+            seqno: 0,
+        });
     }
 }
 
-struct OutboxState {
+/// One shard's queue plus the recovery state the writer and the DLM
+/// drive for it.
+struct ShardQueue {
     queue: CoalescingQueue,
-    /// Consecutive high-water sweeps without the queue draining.
+    /// High-water sweeps since the client last replayed.
     consecutive_overflows: u32,
-    /// Resync-only mode (slow consumer). Sticky until the queue drains.
+    /// Slow-consumer demotion, sticky until the client replays.
     lagging: bool,
-    /// Replay mode only: the backlog was swept to a `ReplayNeeded`
-    /// marker; further live deliveries are dropped (the update log
-    /// covers them) until [`OutboxSink`]'s `replay_restore` runs when
-    /// the client comes back with `ReplayFrom{cursor}`.
+    /// The backlog was swept to a `ReplayNeeded` marker; further live
+    /// deliveries are dropped (the update log covers them) until
+    /// `replay_restore` runs when the client comes back with its replay
+    /// request.
     replay_pending: bool,
-    /// Highest log seqno handed to this outbox whose effect will reach
+    /// Highest log seqno handed to this queue whose effect will reach
     /// the client (queued, coalesced into a newer entry, or marked
     /// current after replay). Dropped-while-replay-pending events do
     /// NOT advance it.
     last_seqno: u64,
     /// Highest seqno already acknowledged to the client via `CursorAck`.
     last_acked: u64,
+}
+
+struct OutboxState {
+    shards: Vec<ShardQueue>,
+    /// The shard the next drain starts at, so no shard's backlog can
+    /// starve the others out of a frame.
+    next: usize,
     /// Writer asked to exit (client unregistered / server shutdown).
     shutdown: bool,
     /// The inner sink failed; all further deliveries are refused.
     dead: bool,
-    /// The writer has popped a batch it has not yet handed to the inner
-    /// sink. Drainers must treat this as undelivered work: an empty
-    /// queue alone does not mean the tail reached the client.
+    /// The writer has popped a frame it has not yet handed to the inner
+    /// sink. Drainers must treat this as undelivered work: empty queues
+    /// alone do not mean the tail reached the client.
     in_flight: bool,
 }
+
+impl OutboxState {
+    fn queued(&self) -> bool {
+        self.shards.iter().any(|q| !q.queue.is_empty())
+    }
+
+    fn deepest(&self) -> u64 {
+        self.shards.iter().map(|q| q.queue.len()).max().unwrap_or(0) as u64
+    }
+
+    /// Pop the next frame: up to `batch_max` events taken round-robin
+    /// across the shard queues, then a `CursorAck` for every shard whose
+    /// queue is now drained and whose frontier moved. Returns the events
+    /// and the `(shard, seqno)` acks they carry.
+    fn take_frame(&mut self, batch_max: usize) -> (Vec<DlmEvent>, Vec<(u32, u64)>) {
+        let n = self.shards.len();
+        let start = self.next;
+        let mut events = Vec::new();
+        loop {
+            let before = events.len();
+            for i in 0..n {
+                if events.len() >= batch_max {
+                    break;
+                }
+                if let Some(e) = self.shards[(start + i) % n].queue.pop() {
+                    events.push(e);
+                }
+            }
+            if events.len() == before || events.len() >= batch_max {
+                break;
+            }
+        }
+        if !events.is_empty() {
+            self.next = (start + 1) % n;
+        }
+        let mut acks = Vec::new();
+        for (shard, q) in (0u32..).zip(self.shards.iter_mut()) {
+            // A shard whose sweep awaits the client's replay is not
+            // acknowledged: its drained "queue" was just the marker.
+            if !q.queue.is_empty() || q.replay_pending {
+                continue;
+            }
+            if q.last_seqno > q.last_acked {
+                // Everything enqueued through last_seqno rides this very
+                // frame or an earlier one: acknowledge it last.
+                q.last_acked = q.last_seqno;
+                acks.push((shard, q.last_acked));
+                events.push(DlmEvent::CursorAck {
+                    shard,
+                    seqno: q.last_acked,
+                });
+            }
+        }
+        (events, acks)
+    }
+}
+
+/// Called (outside every lock) with each `(shard, cursor)` the writer
+/// just acknowledged to the client — the durable-frontier spill hook
+/// (DESIGN.md § 14). It sees acks in the order the writer emitted them
+/// and may block on I/O.
+pub type FrontierRecorder = Arc<dyn Fn(u32, u64) + Send + Sync>;
 
 struct OutboxShared {
     state: OrderedMutex<OutboxState>,
     /// Wakes the writer (work queued or shutdown).
     work: OrderedCondvar,
-    /// Wakes drainers (queue just emptied or writer exited).
+    /// Wakes drainers (queues just emptied or writer exited).
     idle: OrderedCondvar,
     config: OverloadConfig,
     stats: OverloadStats,
-    /// Per-outbox queue depth (current + high water). The shared
-    /// [`OverloadStats::queue_depth`] gauge interleaves `set` calls
-    /// across all outboxes, so only its high-water side is meaningful
-    /// fleet-wide; this one is exact for this client.
-    depth: Gauge,
-    /// Cursor catch-up enabled: overflow sweeps to `ReplayNeeded` and
-    /// the writer emits `CursorAck` on drain-to-empty.
-    replay: bool,
-    /// Invoked (outside every lock) with each cursor the writer just
-    /// acknowledged to the client — the durable-frontier spill hook
-    /// (DESIGN.md § 14). The callback sees acks in the order the writer
-    /// emitted them and may block on I/O.
-    recorder: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+    recorder: Option<FrontierRecorder>,
 }
 
-/// A bounded, coalescing outbox wrapped around a blocking sink.
+/// One client session's bounded, coalescing outbox around a blocking
+/// sink: one [`CoalescingQueue`] per DLM shard, one writer thread.
 ///
-/// `deliver` never blocks and never performs I/O: it coalesces into the
-/// bounded queue and wakes the writer thread, which owns the only calls
-/// into the wrapped sink. Created via [`OutboxSink::wrap`] at client
-/// registration time (the DLM agent wraps its wire-channel sink, the
-/// integrated server wraps its session sink).
+/// The per-shard handles from [`OutboxSink::shard`] never block and
+/// never perform I/O: they coalesce into their shard's bounded queue and
+/// wake the writer thread, which owns the only calls into the wrapped
+/// sink. The DLM agent builds one around its wire-channel sink, the
+/// integrated server one around each session sink.
 pub struct OutboxSink {
     inner: Arc<dyn EventSink>,
     shared: Arc<OutboxShared>,
 }
 
 impl OutboxSink {
-    /// Wrap `inner`, spawning the writer thread. Overflow recovery is
-    /// the legacy resync sweep; use [`OutboxSink::wrap_with_replay`]
-    /// when the DLM retains an update log.
-    pub fn wrap(
-        inner: Arc<dyn EventSink>,
-        config: OverloadConfig,
-        stats: OverloadStats,
-    ) -> Arc<Self> {
-        Self::wrap_with_replay(inner, config, stats, false)
-    }
-
-    /// Wrap `inner`, spawning the writer thread. With `replay` set,
-    /// overflow sweeps to a `ReplayNeeded` marker (cursor catch-up via
-    /// the update log) and the writer acknowledges delivered seqnos
-    /// with `CursorAck` whenever the queue drains empty.
-    pub fn wrap_with_replay(
-        inner: Arc<dyn EventSink>,
-        config: OverloadConfig,
-        stats: OverloadStats,
-        replay: bool,
-    ) -> Arc<Self> {
-        Self::wrap_with_recorder(inner, config, stats, replay, None)
-    }
-
-    /// [`OutboxSink::wrap_with_replay`] plus a frontier `recorder`: every
-    /// `CursorAck` the writer emits is reported to the callback after the
-    /// carrying frame reached the inner sink, outside all outbox locks.
-    /// The durable DLM passes a closure spilling the cursor to the
+    /// Wrap `inner` with one queue per shard (`shards ≥ 1`), spawning the
+    /// writer thread. Every `CursorAck` the writer emits is reported to
+    /// `recorder` after the carrying frame reached the inner sink; the
+    /// durable DLM passes a closure spilling the cursor to that shard's
     /// segment log so the client's frontier survives a restart.
-    pub fn wrap_with_recorder(
+    pub fn new(
         inner: Arc<dyn EventSink>,
+        shards: usize,
         config: OverloadConfig,
         stats: OverloadStats,
-        replay: bool,
-        recorder: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+        recorder: Option<FrontierRecorder>,
     ) -> Arc<Self> {
-        let queue = if replay {
-            CoalescingQueue::new_replay(config.outbox_high_water)
-        } else {
-            CoalescingQueue::new(config.outbox_high_water)
-        };
+        let shards = (0..shards.max(1) as u32)
+            .map(|shard| ShardQueue {
+                queue: CoalescingQueue::new(shard, config.outbox_high_water),
+                consecutive_overflows: 0,
+                lagging: false,
+                replay_pending: false,
+                last_seqno: 0,
+                last_acked: 0,
+            })
+            .collect();
         let shared = Arc::new(OutboxShared {
             state: OrderedMutex::new(
                 ranks::OUTBOX_STATE,
                 OutboxState {
-                    queue,
-                    consecutive_overflows: 0,
-                    lagging: false,
-                    replay_pending: false,
-                    last_seqno: 0,
-                    last_acked: 0,
+                    shards,
+                    next: 0,
                     shutdown: false,
                     dead: false,
                     in_flight: false,
@@ -527,8 +454,6 @@ impl OutboxSink {
             idle: OrderedCondvar::new(),
             config,
             stats,
-            depth: Gauge::new(),
-            replay,
             recorder,
         });
         let sink = Arc::new(Self {
@@ -542,109 +467,150 @@ impl OutboxSink {
         sink
     }
 
-    /// Current queue depth.
+    /// The sink one DLM shard delivers this client's events through.
+    ///
+    /// # Panics
+    ///
+    /// If `shard` is not below the shard count the outbox was built for.
+    pub fn shard(self: &Arc<Self>, shard: u32) -> Arc<dyn EventSink> {
+        assert!(
+            (shard as usize) < self.shared.state.lock().shards.len(),
+            "outbox has no queue for shard {shard}"
+        );
+        Arc::new(ShardSink {
+            outbox: Arc::clone(self),
+            shard: shard as usize,
+        })
+    }
+
+    /// Events currently queued across every shard.
     pub fn depth(&self) -> usize {
-        self.shared.state.lock().queue.len()
+        let state = self.shared.state.lock();
+        state.shards.iter().map(|q| q.queue.len()).sum()
     }
 
-    /// Exact per-outbox depth gauge (current + high water).
-    pub fn depth_stats(&self) -> &Gauge {
-        &self.shared.depth
-    }
-
-    /// Whether the client is demoted to resync-only mode.
+    /// Whether the client is demoted as lagging on any shard.
     pub fn is_lagging(&self) -> bool {
-        self.shared.state.lock().lagging
+        self.shared.state.lock().shards.iter().any(|q| q.lagging)
     }
 
-    /// Whether a `ReplayNeeded` sweep is awaiting the client's
-    /// `ReplayFrom` (replay mode only).
-    pub fn is_replay_pending(&self) -> bool {
-        self.shared.state.lock().replay_pending
+    /// Whether `shard`'s `ReplayNeeded` sweep is awaiting the client's
+    /// replay request.
+    pub fn is_replay_pending(&self, shard: u32) -> bool {
+        self.shared.state.lock().shards[shard as usize].replay_pending
     }
 
     /// Shared delivery path for live (`seqno > 0` when logged) and
     /// control (`seqno == 0`) events.
-    fn enqueue(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
+    fn enqueue(&self, shard: usize, event: DlmEvent, seqno: u64) -> DbResult<()> {
         event.record_stage(displaydb_common::trace::Stage::OutboxEnqueue);
         let stats = &self.shared.stats;
         let mut state = self.shared.state.lock();
         if state.dead || state.shutdown {
-            return Err(displaydb_common::DbError::Disconnected);
+            return Err(DbError::Disconnected);
         }
         stats.enqueued.inc();
-        if state.replay_pending {
+        let q = &mut state.shards[shard];
+        if q.replay_pending {
             // The backlog was swept to a ReplayNeeded marker and the
             // update log retains everything since: drop the event and
-            // count it as coalesced into the pending marker. The
-            // seqno is deliberately NOT acknowledged — the client
-            // learns it through replay.
+            // count it as coalesced into the pending marker. The seqno is
+            // deliberately NOT acknowledged — the client learns it
+            // through replay.
             stats.coalesced.inc();
             return Ok(());
         }
-        // Marker accounting (satellite fix for the drift between
-        // `resyncs_sent` and what clients actually receive): a push or
-        // sweep only *sends* a new marker when none was already queued
-        // — folding into a pending marker must not count twice.
-        let had_marker = state.queue.has_pending_marker();
-        let mut pushed_marker = false;
-        let pushed = if state.lagging && !self.shared.replay {
-            // Resync-only mode: fold the event's objects into the
-            // pending marker instead of growing a backlog.
-            match to_resync_marker(&event) {
-                Some(marker) => {
-                    pushed_marker = true;
-                    state.queue.push_seq(marker, seqno)
-                }
-                None => state.queue.push_seq(event, seqno),
-            }
-        } else {
-            state.queue.push_seq(event, seqno)
-        };
-        match pushed {
-            Pushed::Queued => {
-                if pushed_marker && !had_marker {
-                    stats.resyncs_sent.inc();
-                }
-            }
+        match q.queue.push_seq(event, seqno) {
+            Pushed::Queued => {}
             Pushed::Coalesced => stats.coalesced.inc(),
             Pushed::Cancelled => stats.cancelled_pairs.inc(),
             Pushed::Overflowed => {
                 stats.overflows.inc();
-                state.consecutive_overflows += 1;
-                if self.shared.replay {
-                    // The sweep left a ReplayNeeded marker; everything
-                    // until the client replays is covered by the log.
-                    // Swept seqnos reach the client only via the replay,
-                    // and the ack frontier never claimed them: it only
-                    // advances through `advance_frontier`, after a whole
-                    // commit is enqueued, and replay-pending blocks even
-                    // that until the client's `ReplayFrom` restores us.
-                    state.replay_pending = true;
-                } else if !had_marker {
-                    stats.resyncs_sent.inc();
-                }
-                if !state.lagging
-                    && state.consecutive_overflows >= self.shared.config.lagging_after_overflows
+                q.consecutive_overflows += 1;
+                // The sweep left a ReplayNeeded marker; everything until
+                // the client replays is covered by the log. Swept seqnos
+                // reach the client only via the replay, and the ack
+                // frontier never claimed them: it only advances through
+                // `advance_frontier`, after a whole commit is enqueued,
+                // and replay-pending blocks even that until the client's
+                // replay request restores the queue.
+                q.replay_pending = true;
+                if !q.lagging
+                    && q.consecutive_overflows >= self.shared.config.lagging_after_overflows
                 {
-                    state.lagging = true;
+                    q.lagging = true;
                     stats.lagging_transitions.inc();
                     // Queued after the marker: the client recovers, then
                     // learns it is lagging.
-                    state.queue.push(DlmEvent::Lagging);
+                    q.queue.push(DlmEvent::Lagging);
                 }
             }
         }
         // Shared gauge: the high-water side is a monotonic max across
-        // all outboxes, which is the quantity the experiments report.
-        stats.queue_depth.set(state.queue.len() as u64);
-        self.shared.depth.set(state.queue.len() as u64);
+        // all queues, which is the quantity the experiments report.
+        stats.queue_depth.set(q.queue.len() as u64);
         drop(state);
         self.shared.work.notify_one();
         Ok(())
     }
 
-    /// Block until the queue is flushed to the inner sink or `timeout`
+    /// Replay catch-up: push without the overflow sweep. The burst is
+    /// bounded by the watched set (per-OID coalescing), and sweeping it
+    /// back to a marker would loop the client forever.
+    fn enqueue_replayed(&self, shard: usize, event: DlmEvent, seqno: u64) -> DbResult<()> {
+        event.record_stage(displaydb_common::trace::Stage::OutboxEnqueue);
+        let stats = &self.shared.stats;
+        let mut state = self.shared.state.lock();
+        if state.dead || state.shutdown {
+            return Err(DbError::Disconnected);
+        }
+        // The frontier advance for replayed seqnos comes from
+        // `mark_current_through(head)` at the end of the replay, never
+        // per event — a drain racing with the burst must not ack a seqno
+        // whose remaining events are still being replayed.
+        stats.enqueued.inc();
+        match state.shards[shard].queue.push_unbounded(event, seqno) {
+            Pushed::Queued | Pushed::Overflowed => {}
+            Pushed::Coalesced => stats.coalesced.inc(),
+            Pushed::Cancelled => stats.cancelled_pairs.inc(),
+        }
+        drop(state);
+        self.shared.work.notify_one();
+        Ok(())
+    }
+
+    fn replay_restore(&self, shard: usize) {
+        let mut state = self.shared.state.lock();
+        let q = &mut state.shards[shard];
+        q.replay_pending = false;
+        q.lagging = false;
+        q.consecutive_overflows = 0;
+        // The storm's high-water mark describes the overload, not the
+        // recovered client: reset it so post-recovery gauges start clean.
+        self.shared.stats.queue_depth.reset_high_water();
+        drop(state);
+        self.shared.work.notify_one();
+    }
+
+    /// Advance `shard`'s ack frontier to `seqno` (monotone max) and wake
+    /// the writer so it can acknowledge even with an empty queue.
+    /// `respect_sweep` leaves the frontier alone while a sweep awaits the
+    /// client's replay.
+    fn advance(&self, shard: usize, seqno: u64, respect_sweep: bool) {
+        let mut state = self.shared.state.lock();
+        if state.dead || state.shutdown {
+            return;
+        }
+        let q = &mut state.shards[shard];
+        if respect_sweep && q.replay_pending {
+            return;
+        }
+        q.last_seqno = q.last_seqno.max(seqno);
+        drop(state);
+        self.shared.work.notify_one();
+    }
+
+    /// Block until every queue is flushed to the inner sink or `timeout`
     /// elapses; returns whether it flushed. Used by server shutdown to
     /// give healthy clients their tail notifications without letting a
     /// stalled one wedge the process.
@@ -652,7 +618,7 @@ impl OutboxSink {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock();
         loop {
-            let flushed = state.queue.is_empty() && !state.in_flight;
+            let flushed = !state.queued() && !state.in_flight;
             if flushed || state.dead {
                 return flushed;
             }
@@ -666,96 +632,18 @@ impl OutboxSink {
                 .wait_for(&mut state, deadline - now)
                 .timed_out()
             {
-                return state.queue.is_empty() && !state.in_flight;
+                return !state.queued() && !state.in_flight;
             }
         }
     }
-}
 
-impl EventSink for OutboxSink {
-    fn deliver(&self, event: DlmEvent) -> DbResult<()> {
-        self.enqueue(event, 0)
-    }
-
-    fn deliver_logged(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
-        self.enqueue(event, seqno)
-    }
-
-    fn deliver_replayed(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
-        // Replay catch-up: push without the overflow sweep. The burst is
-        // bounded by the watched set (per-OID coalescing), and sweeping
-        // it back to a marker would loop the client forever.
-        event.record_stage(displaydb_common::trace::Stage::OutboxEnqueue);
-        let stats = &self.shared.stats;
-        let mut state = self.shared.state.lock();
-        if state.dead || state.shutdown {
-            return Err(displaydb_common::DbError::Disconnected);
-        }
-        // The frontier advance for replayed seqnos comes from
-        // `mark_current_through(head)` at the end of the replay, never
-        // per event — a drain racing with the burst must not ack a
-        // seqno whose remaining events are still being replayed.
-        stats.enqueued.inc();
-        match state.queue.push_unbounded(event, seqno) {
-            Pushed::Queued | Pushed::Overflowed => {}
-            Pushed::Coalesced => stats.coalesced.inc(),
-            Pushed::Cancelled => stats.cancelled_pairs.inc(),
-        }
-        // Only the exact per-outbox gauge: a replay burst is controlled
-        // catch-up, not fleet-wide backpressure evidence.
-        self.shared.depth.set(state.queue.len() as u64);
-        drop(state);
-        self.shared.work.notify_one();
-        Ok(())
-    }
-
-    fn replay_restore(&self) {
-        let mut state = self.shared.state.lock();
-        state.replay_pending = false;
-        state.lagging = false;
-        state.consecutive_overflows = 0;
-        // Satellite fix: the storm's high-water marks describe the
-        // overload, not the recovered client — reset them so
-        // post-recovery gauges start clean.
-        self.shared.stats.queue_depth.reset_high_water();
-        self.shared.depth.reset_high_water();
-        drop(state);
-        self.shared.work.notify_one();
-    }
-
-    fn mark_current_through(&self, seqno: u64) {
-        let mut state = self.shared.state.lock();
-        state.last_seqno = state.last_seqno.max(seqno);
-        drop(state);
-        // Wake the writer so it can acknowledge even with an empty queue.
-        self.shared.work.notify_one();
-    }
-
-    fn advance_frontier(&self, seqno: u64) {
-        let mut state = self.shared.state.lock();
-        if state.dead || state.shutdown {
-            return;
-        }
-        if state.replay_pending {
-            // Part of this commit was swept mid-fan-out: the client only
-            // gets it back through replay, so the frontier stays put
-            // until `replay_restore` + `mark_current_through`.
-            return;
-        }
-        state.last_seqno = state.last_seqno.max(seqno);
-        drop(state);
-        // The queue may already have drained past this commit's events;
-        // wake the writer so the ack is not deferred to the next event.
-        self.shared.work.notify_one();
-    }
-
-    fn close(&self) {
+    /// Stop the writer and release the inner sink. Does not join the
+    /// writer: it may be blocked inside a stalled send, and closing must
+    /// not inherit that stall.
+    pub fn close(&self) {
         let mut state = self.shared.state.lock();
         state.shutdown = true;
         drop(state);
-        // Wake the writer so it exits; deliberately no join — the
-        // writer may be blocked inside a stalled send, and close must
-        // not inherit that stall.
         self.shared.work.notify_one();
         self.shared.idle.notify_all();
         self.inner.close();
@@ -772,111 +660,94 @@ impl std::fmt::Debug for OutboxSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.shared.state.lock();
         f.debug_struct("OutboxSink")
-            .field("depth", &state.queue.len())
-            .field("lagging", &state.lagging)
+            .field("shards", &state.shards.len())
             .field("dead", &state.dead)
             .finish()
     }
 }
 
-/// The resync-only rendering of an event, if it carries object state.
-fn to_resync_marker(event: &DlmEvent) -> Option<DlmEvent> {
-    match event {
-        DlmEvent::Updated(info) => Some(DlmEvent::ResyncRequired {
-            oids: vec![info.oid],
-        }),
-        DlmEvent::Marked { oid, .. }
-        | DlmEvent::Resolved { oid, .. }
-        | DlmEvent::Delta { oid, .. } => Some(DlmEvent::ResyncRequired { oids: vec![*oid] }),
-        DlmEvent::Ready { .. }
-        | DlmEvent::Lagging
-        | DlmEvent::ResyncRequired { .. }
-        | DlmEvent::Batch(_)
-        | DlmEvent::CursorAck { .. }
-        | DlmEvent::ReplayNeeded { .. }
-        | DlmEvent::ShardCursorAck { .. }
-        | DlmEvent::ShardReplayNeeded { .. } => None,
+/// The [`EventSink`] one shard delivers through: every call lands on
+/// that shard's queue of the shared outbox.
+struct ShardSink {
+    outbox: Arc<OutboxSink>,
+    shard: usize,
+}
+
+impl EventSink for ShardSink {
+    fn deliver(&self, event: DlmEvent) -> DbResult<()> {
+        self.outbox.enqueue(self.shard, event, 0)
+    }
+
+    fn deliver_logged(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
+        self.outbox.enqueue(self.shard, event, seqno)
+    }
+
+    fn deliver_replayed(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
+        self.outbox.enqueue_replayed(self.shard, event, seqno)
+    }
+
+    fn replay_restore(&self) {
+        self.outbox.replay_restore(self.shard);
+    }
+
+    fn mark_current_through(&self, seqno: u64) {
+        self.outbox.advance(self.shard, seqno, false);
+    }
+
+    fn advance_frontier(&self, seqno: u64) {
+        // Part of this commit may have been swept mid-fan-out: the
+        // client only gets it back through replay, so the frontier stays
+        // put until `replay_restore` + `mark_current_through`.
+        self.outbox.advance(self.shard, seqno, true);
+    }
+
+    fn close(&self) {
+        self.outbox.close();
     }
 }
 
 fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
     let batch_max = shared.config.outbox_batch_max.max(1);
     loop {
-        let (event, acked) = {
+        let (event, acks) = {
             let mut state = shared.state.lock();
             loop {
                 if state.shutdown {
                     shared.idle.notify_all();
                     return;
                 }
-                // A cursor ack is due once every delivered seqno will
-                // have reached the wire — i.e. the queue is about to be
-                // fully drained and nothing is replay-pending.
-                let ack_due =
-                    shared.replay && !state.replay_pending && state.last_seqno > state.last_acked;
-                if !state.queue.is_empty() || ack_due {
-                    // Drain everything pending (up to the batch cap) in
-                    // one wake: a consumer that fell behind receives its
-                    // backlog as a single wire frame instead of one
-                    // frame per event.
-                    let mut acked = None;
-                    let mut events = Vec::new();
-                    while events.len() < batch_max {
-                        match state.queue.pop() {
-                            Some(e) => events.push(e),
-                            None => break,
-                        }
-                    }
-                    if state.queue.is_empty() {
-                        // Fully drained: the consumer caught up, so
-                        // forgive its overflow history — unless a sweep
-                        // is awaiting the client's replay, in which case
-                        // the drained "queue" was just the marker.
-                        if !state.replay_pending {
-                            state.consecutive_overflows = 0;
-                            state.lagging = false;
-                            if shared.replay && state.last_seqno > state.last_acked {
-                                // Everything enqueued through last_seqno
-                                // rides this very frame: acknowledge the
-                                // cursor as its final event.
-                                state.last_acked = state.last_seqno;
-                                acked = Some(state.last_acked);
-                                events.push(DlmEvent::CursorAck {
-                                    seqno: state.last_acked,
-                                });
-                            }
-                        }
-                    }
-                    if events.is_empty() {
-                        // Raced: ack was due but replay_pending flipped,
-                        // or a spurious wake. Go back to waiting.
-                        shared.work.wait(&mut state);
-                        continue;
-                    }
-                    state.in_flight = true;
-                    shared.stats.queue_depth.set(state.queue.len() as u64);
-                    shared.depth.set(state.queue.len() as u64);
-                    let event = if events.len() == 1 {
-                        events.pop().expect("one event")
-                    } else {
-                        shared.stats.batches_sent.inc();
-                        DlmEvent::Batch(events)
-                    };
-                    break (event, acked);
+                // Drain everything pending (up to the batch cap) in one
+                // wake: a consumer that fell behind receives its backlog,
+                // across all shards, as a single wire frame instead of
+                // one frame per event.
+                let (mut events, acks) = state.take_frame(batch_max);
+                if events.is_empty() {
+                    shared.work.wait(&mut state);
+                    continue;
                 }
-                shared.work.wait(&mut state);
+                state.in_flight = true;
+                shared.stats.queue_depth.set(state.deepest());
+                let event = if events.len() == 1 {
+                    events.pop().expect("one event")
+                } else {
+                    shared.stats.batches_sent.inc();
+                    DlmEvent::Batch(events)
+                };
+                break (event, acks);
             }
         };
         // The only potentially-blocking calls, outside every lock.
         event.record_stage(displaydb_common::trace::Stage::OutboxDrain);
         let delivered = inner.deliver(event).is_ok();
         if delivered {
-            // The ack is on the wire: make the frontier durable. After a
-            // failed delivery the client is dead and its next session
-            // replays from the previously recorded cursor — strictly
-            // more data, never less.
-            if let (Some(cursor), Some(rec)) = (acked, shared.recorder.as_ref()) {
-                rec(cursor);
+            // The acks are on the wire: make the frontiers durable.
+            // After a failed delivery the client is dead and its next
+            // session replays from the previously recorded cursor —
+            // strictly more data, never less.
+            if let Some(rec) = shared.recorder.as_ref() {
+                for (shard, cursor) in acks {
+                    rec(shard, cursor);
+                }
             }
         }
         let mut state = shared.state.lock();
@@ -886,7 +757,7 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
             shared.idle.notify_all();
             return;
         }
-        if state.queue.is_empty() {
+        if !state.queued() {
             shared.idle.notify_all();
         }
     }
@@ -932,7 +803,7 @@ mod tests {
 
     #[test]
     fn updated_coalesces_latest_wins_in_place() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         assert_eq!(q.push(upd(1, 1)), Pushed::Queued);
         assert_eq!(q.push(upd(2, 1)), Pushed::Queued);
         assert_eq!(q.push(upd(1, 9)), Pushed::Coalesced);
@@ -945,7 +816,7 @@ mod tests {
 
     #[test]
     fn resolved_cancels_queued_marked() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         let txn = TxnId::new(5);
         q.push(DlmEvent::Marked { oid: o(1), txn });
         q.push(upd(2, 1));
@@ -963,7 +834,7 @@ mod tests {
 
     #[test]
     fn resolved_without_queued_marked_queues() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         let txn = TxnId::new(5);
         // The Marked already drained: Resolved must still go out.
         assert_eq!(
@@ -991,29 +862,13 @@ mod tests {
     }
 
     #[test]
-    fn overflow_sweeps_to_single_resync() {
-        let mut q = CoalescingQueue::new(4);
-        for i in 0..4 {
-            q.push(upd(i, 0));
-        }
-        assert_eq!(q.push(upd(99, 0)), Pushed::Overflowed);
-        assert_eq!(q.len(), 1);
-        match q.pop().unwrap() {
-            DlmEvent::ResyncRequired { oids } => {
-                assert_eq!(oids, vec![o(0), o(1), o(2), o(3), o(99)]);
-            }
-            other => panic!("expected resync marker, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn updates_fold_into_pending_resync_marker() {
-        let mut q = CoalescingQueue::new(4);
-        for i in 0..5 {
-            q.push(upd(i, 0));
-        }
-        // Marker queued; an update for a covered OID disappears into it,
-        // a new OID queues normally behind it.
+        let mut q = CoalescingQueue::new(0, 4);
+        q.push(DlmEvent::ResyncRequired {
+            oids: (0..5).map(o).collect(),
+        });
+        // An update for a covered OID disappears into the marker, a new
+        // OID queues normally behind it.
         assert_eq!(q.push(upd(2, 7)), Pushed::Coalesced);
         assert_eq!(q.push(upd(42, 7)), Pushed::Queued);
         assert_eq!(q.len(), 2);
@@ -1021,7 +876,7 @@ mod tests {
 
     #[test]
     fn delta_merge_unions_changed_attrs_latest_value_wins() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         assert_eq!(q.push(delta(1, 1, &[(0, 1), (2, 5)])), Pushed::Queued);
         assert_eq!(q.push(delta(2, 1, &[(0, 3)])), Pushed::Queued);
         // Same OID + version: union of attrs, newest value per attr,
@@ -1034,7 +889,7 @@ mod tests {
 
     #[test]
     fn delta_with_different_version_queues_separately() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         q.push(delta(1, 1, &[(0, 1)]));
         // A version bump means the attribute indices refer to a different
         // registration; merging across versions could fabricate a delta
@@ -1045,7 +900,7 @@ mod tests {
 
     #[test]
     fn delta_folds_into_pending_resync_marker() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         q.push(DlmEvent::ResyncRequired { oids: vec![o(1)] });
         assert_eq!(q.push(delta(1, 1, &[(0, 1)])), Pushed::Coalesced);
         assert_eq!(q.push(delta(2, 1, &[(0, 1)])), Pushed::Queued);
@@ -1053,23 +908,8 @@ mod tests {
     }
 
     #[test]
-    fn overflow_sweep_covers_delta_oids() {
-        let mut q = CoalescingQueue::new(4);
-        for i in 0..4 {
-            q.push(delta(i, 1, &[(0, 0)]));
-        }
-        assert_eq!(q.push(delta(99, 1, &[(0, 0)])), Pushed::Overflowed);
-        match q.pop().unwrap() {
-            DlmEvent::ResyncRequired { oids } => {
-                assert_eq!(oids, vec![o(0), o(1), o(2), o(3), o(99)]);
-            }
-            other => panic!("expected resync marker, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn resync_markers_merge() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         q.push(DlmEvent::ResyncRequired {
             oids: vec![o(1), o(2)],
         });
@@ -1079,8 +919,12 @@ mod tests {
             }),
             Pushed::Coalesced
         );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pending_oids(), vec![o(1), o(2), o(3)]);
+        assert_eq!(
+            q.pop(),
+            Some(DlmEvent::ResyncRequired {
+                oids: vec![o(1), o(2), o(3)]
+            })
+        );
     }
 
     fn collecting_sink() -> (Arc<dyn EventSink>, crossbeam::channel::Receiver<DlmEvent>) {
@@ -1097,12 +941,53 @@ mod tests {
         }
     }
 
+    /// A one-shard outbox and the sink its shard delivers through.
+    fn single(
+        inner: Arc<dyn EventSink>,
+        config: OverloadConfig,
+        stats: OverloadStats,
+    ) -> (Arc<OutboxSink>, Arc<dyn EventSink>) {
+        let outbox = OutboxSink::new(inner, 1, config, stats, None);
+        let sink = outbox.shard(0);
+        (outbox, sink)
+    }
+
+    /// An inner sink that blocks every delivery until the gate opens.
+    type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+    fn gated_sink() -> (
+        Arc<dyn EventSink>,
+        Gate,
+        crossbeam::channel::Receiver<DlmEvent>,
+    ) {
+        let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (tx, rx) = unbounded();
+        let inner: Arc<dyn EventSink> = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |e: DlmEvent| {
+                let (lock, cv) = &*gate;
+                let mut open = lock.lock();
+                while !*open {
+                    cv.wait(&mut open);
+                }
+                tx.send(e).map_err(|_| DbError::Disconnected)
+            })
+        };
+        (inner, gate, rx)
+    }
+
+    fn open(gate: &Gate) {
+        let (lock, cv) = &**gate;
+        *lock.lock() = true;
+        cv.notify_all();
+    }
+
     #[test]
     fn outbox_delivers_in_order() {
         let (inner, rx) = collecting_sink();
-        let outbox = OutboxSink::wrap(inner, quick_config(64, 3), OverloadStats::new());
+        let (outbox, sink) = single(inner, quick_config(64, 3), OverloadStats::new());
         for i in 0..10 {
-            outbox.deliver(upd(i, i as u8)).unwrap();
+            sink.deliver(upd(i, i as u8)).unwrap();
         }
         assert!(outbox.drain(Duration::from_secs(5)));
         let got = flatten(rx.try_iter());
@@ -1114,34 +999,20 @@ mod tests {
 
     #[test]
     fn stalled_consumer_overflows_then_demotes_to_lagging() {
-        // An inner sink that blocks until released: the writer thread
-        // wedges on the first event, everything else queues.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
+        // The writer wedges on the first event, everything else queues.
+        let (inner, gate, rx) = gated_sink();
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap(inner, quick_config(8, 2), stats.clone());
+        let (outbox, sink) = single(inner, quick_config(8, 1), stats.clone());
 
         // Storm: far more updates than the high-water mark.
-        for round in 0..4 {
+        for round in 0..4u64 {
             for i in 0..40u64 {
-                outbox
-                    .deliver(upd(i, round))
+                sink.deliver_logged(upd(i, round as u8), round * 40 + i + 1)
                     .expect("deliver must not block or fail");
             }
         }
-        assert!(stats.overflows.get() >= 2, "storm must overflow");
-        assert!(outbox.is_lagging(), "persistent overflow must demote");
+        assert_eq!(stats.overflows.get(), 1, "one sweep per replay episode");
+        assert!(outbox.is_lagging(), "an overflow past the limit demotes");
         assert_eq!(stats.lagging_transitions.get(), 1);
         // Memory bound: depth never exceeds high-water + the marker.
         assert!(
@@ -1150,29 +1021,21 @@ mod tests {
             stats.queue_depth.high_water()
         );
 
-        // Release the consumer: it gets the first event (pre-stall),
-        // then markers covering everything else, then Lagging — and the
-        // drained outbox forgives the lag.
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        // Release the consumer: it gets the first event (pre-stall), one
+        // replay marker, then Lagging. The demotion lasts until the
+        // client replays.
+        open(&gate);
         assert!(outbox.drain(Duration::from_secs(5)), "must drain");
-        assert!(!outbox.is_lagging(), "drain clears lagging mode");
         let got = flatten(rx.try_iter());
         assert!(got.iter().any(|e| matches!(e, DlmEvent::Lagging)));
-        let resynced: Vec<Oid> = got
+        let markers = got
             .iter()
-            .filter_map(|e| match e {
-                DlmEvent::ResyncRequired { oids } => Some(oids.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        for i in 1..40u64 {
-            assert!(resynced.contains(&o(i)), "oid {i} lost in the sweep");
-        }
+            .filter(|e| matches!(e, DlmEvent::ReplayNeeded { shard: 0, .. }))
+            .count();
+        assert_eq!(markers, 1);
+        assert!(outbox.is_lagging());
+        sink.replay_restore();
+        assert!(!outbox.is_lagging(), "replay clears lagging mode");
     }
 
     #[test]
@@ -1183,16 +1046,16 @@ mod tests {
             let _ = release_rx.recv(); // blocks until test end
             Ok(())
         });
-        let outbox = OutboxSink::wrap(inner, quick_config(8, 2), OverloadStats::new());
-        outbox.deliver(upd(1, 1)).unwrap();
-        outbox.deliver(upd(2, 2)).unwrap();
+        let (outbox, sink) = single(inner, quick_config(8, 2), OverloadStats::new());
+        sink.deliver(upd(1, 1)).unwrap();
+        sink.deliver(upd(2, 2)).unwrap();
         let started = Instant::now();
         outbox.close();
         assert!(
             started.elapsed() < Duration::from_secs(1),
             "close must not wait on the stalled writer"
         );
-        assert!(outbox.deliver(upd(3, 3)).is_err(), "closed outbox refuses");
+        assert!(sink.deliver(upd(3, 3)).is_err(), "closed outbox refuses");
         drop(release_tx);
     }
 
@@ -1200,22 +1063,10 @@ mod tests {
     fn writer_drains_backlog_as_one_batch_frame() {
         // The writer wedges on the first event; the next four queue and
         // must go out together as a single Batch when the gate opens.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
+        let (inner, gate, rx) = gated_sink();
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap(inner, quick_config(64, 3), stats.clone());
-        outbox.deliver(upd(0, 0)).unwrap();
+        let (outbox, sink) = single(inner, quick_config(64, 3), stats.clone());
+        sink.deliver(upd(0, 0)).unwrap();
         // Wait until the writer has taken the first event off the queue.
         let deadline = Instant::now() + Duration::from_secs(5);
         while outbox.depth() != 0 {
@@ -1223,13 +1074,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         for i in 1..5u64 {
-            outbox.deliver(upd(i, i as u8)).unwrap();
+            sink.deliver(upd(i, i as u8)).unwrap();
         }
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        open(&gate);
         assert!(outbox.drain(Duration::from_secs(5)));
         let frames: Vec<DlmEvent> = rx.try_iter().collect();
         assert_eq!(frames.len(), 2, "one stalled single + one batch frame");
@@ -1247,8 +1094,93 @@ mod tests {
     }
 
     #[test]
+    fn one_writer_round_robins_shards_into_one_frame() {
+        // Two shards' backlogs queue behind a wedged writer and leave in
+        // one frame: events interleaved shard by shard, each shard's ack
+        // after all of its events.
+        let (inner, gate, rx) = gated_sink();
+        let outbox = OutboxSink::new(inner, 2, quick_config(64, 3), OverloadStats::new(), None);
+        let (s0, s1) = (outbox.shard(0), outbox.shard(1));
+        s0.deliver(upd(100, 0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while outbox.depth() != 0 {
+            assert!(Instant::now() < deadline, "writer never picked up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 1..=3u64 {
+            s0.deliver_logged(upd(i, 0), i).unwrap();
+            s0.advance_frontier(i);
+            s1.deliver_logged(upd(10 + i, 1), i).unwrap();
+            s1.advance_frontier(i);
+        }
+        open(&gate);
+        assert!(outbox.drain(Duration::from_secs(5)));
+        let frames: Vec<DlmEvent> = rx.try_iter().collect();
+        assert_eq!(frames.len(), 2, "one stalled single + one merged frame");
+        let DlmEvent::Batch(events) = &frames[1] else {
+            panic!("expected batch, got {:?}", frames[1]);
+        };
+        assert_eq!(events.len(), 8, "{events:?}");
+        let shard_of = |e: &DlmEvent| match e {
+            DlmEvent::Updated(u) if u.oid.raw() >= 10 => 1,
+            _ => 0,
+        };
+        for pair in events[..6].windows(2) {
+            assert_ne!(shard_of(&pair[0]), shard_of(&pair[1]), "not round-robin");
+        }
+        let of = |shard| -> Vec<&DlmEvent> {
+            events[..6]
+                .iter()
+                .filter(|e| shard_of(e) == shard)
+                .collect()
+        };
+        assert_eq!(of(0), vec![&upd(1, 0), &upd(2, 0), &upd(3, 0)]);
+        assert_eq!(of(1), vec![&upd(11, 1), &upd(12, 1), &upd(13, 1)]);
+        assert_eq!(
+            events[6..],
+            [
+                DlmEvent::CursorAck { shard: 0, seqno: 3 },
+                DlmEvent::CursorAck { shard: 1, seqno: 3 },
+            ]
+        );
+    }
+
+    #[test]
+    fn overflow_is_scoped_to_one_shard() {
+        let (inner, gate, rx) = gated_sink();
+        let outbox = OutboxSink::new(inner, 2, quick_config(4, 99), OverloadStats::new(), None);
+        let (s0, s1) = (outbox.shard(0), outbox.shard(1));
+        for i in 1..=12u64 {
+            s1.deliver_logged(upd(i, 1), i).unwrap();
+        }
+        assert!(outbox.is_replay_pending(1));
+        assert!(!outbox.is_replay_pending(0));
+        s0.deliver_logged(upd(50, 0), 1).unwrap();
+        s0.advance_frontier(1);
+        open(&gate);
+        assert!(outbox.drain(Duration::from_secs(5)));
+        let got = flatten(rx.try_iter());
+        assert!(got.contains(&upd(50, 0)), "shard 0 keeps delivering");
+        assert!(got.contains(&DlmEvent::CursorAck { shard: 0, seqno: 1 }));
+        let markers: Vec<&DlmEvent> = got
+            .iter()
+            .filter(|e| matches!(e, DlmEvent::ReplayNeeded { .. }))
+            .collect();
+        assert_eq!(markers.len(), 1);
+        assert!(matches!(
+            markers[0],
+            DlmEvent::ReplayNeeded { shard: 1, .. }
+        ));
+        assert!(
+            !got.iter()
+                .any(|e| matches!(e, DlmEvent::CursorAck { shard: 1, .. })),
+            "a swept shard is not acknowledged before its replay"
+        );
+    }
+
+    #[test]
     fn seqno_coalescing_older_replay_never_clobbers_newer_live() {
-        let mut q = CoalescingQueue::new(16);
+        let mut q = CoalescingQueue::new(0, 16);
         // A live event at seqno 10 is queued; a replayed event at seqno 3
         // arrives late (replay raced a live commit) — the newer payload
         // must survive.
@@ -1267,55 +1199,39 @@ mod tests {
     }
 
     #[test]
-    fn replay_mode_overflow_sweeps_to_single_replay_needed() {
-        let mut q = CoalescingQueue::new_replay(4);
+    fn overflow_sweeps_to_single_replay_needed() {
+        let mut q = CoalescingQueue::new(3, 4);
         for i in 0..4u64 {
             q.push_seq(upd(i, 0), i + 1);
         }
         assert_eq!(q.push_seq(upd(99, 0), 5), Pushed::Overflowed);
         assert_eq!(q.len(), 1);
         match q.pop().unwrap() {
-            DlmEvent::ReplayNeeded { from } => assert_eq!(from, 5),
+            DlmEvent::ReplayNeeded { shard, from } => assert_eq!((shard, from), (3, 5)),
             other => panic!("expected replay marker, got {other:?}"),
         }
-        // A second sweep folds into the pending marker, keeping max from.
+        // A second overflow sweeps again, naming the highest swept seqno.
         for i in 0..5u64 {
             q.push_seq(upd(i, 0), i + 6);
         }
-        assert!(q.has_pending_marker());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some(DlmEvent::ReplayNeeded { shard: 3, from: 10 }));
     }
 
     #[test]
     fn replay_pending_drops_live_events_until_restore() {
         // Writer wedged: the storm overflows, sweeps to ReplayNeeded, and
         // every further live delivery is dropped (the log covers it).
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
+        let (inner, gate, rx) = gated_sink();
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap_with_replay(inner, quick_config(4, 99), stats.clone(), true);
+        let (outbox, sink) = single(inner, quick_config(4, 99), stats.clone());
         for i in 0..12u64 {
-            outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
+            sink.deliver_logged(upd(i, 0), i + 1).unwrap();
         }
         assert!(stats.overflows.get() >= 1, "storm must overflow");
-        assert!(outbox.is_replay_pending());
-        assert_eq!(
-            stats.resyncs_sent.get(),
-            0,
-            "replay mode must not send resync markers"
-        );
+        assert!(outbox.is_replay_pending(0));
         let depth_before = outbox.depth();
-        outbox.deliver_logged(upd(50, 0), 100).unwrap();
+        sink.deliver_logged(upd(50, 0), 100).unwrap();
         assert_eq!(
             outbox.depth(),
             depth_before,
@@ -1323,17 +1239,13 @@ mod tests {
         );
 
         // The client replays: restore, then the replayed suffix arrives.
-        outbox.replay_restore();
-        assert!(!outbox.is_replay_pending());
+        sink.replay_restore();
+        assert!(!outbox.is_replay_pending(0));
         for i in 0..12u64 {
-            outbox.deliver_replayed(upd(i, 0), i + 1).unwrap();
+            sink.deliver_replayed(upd(i, 0), i + 1).unwrap();
         }
-        outbox.mark_current_through(100);
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        sink.mark_current_through(100);
+        open(&gate);
         assert!(outbox.drain(Duration::from_secs(5)));
         let got = flatten(rx.try_iter());
         let replays = got
@@ -1344,11 +1256,11 @@ mod tests {
         assert!(
             !got.iter()
                 .any(|e| matches!(e, DlmEvent::ResyncRequired { .. })),
-            "replay mode must never fall back to resync markers on its own"
+            "an overflow must never fall back to resync markers"
         );
         // The final cursor ack covers the marked-current frontier.
         match got.last() {
-            Some(DlmEvent::CursorAck { seqno }) => assert_eq!(*seqno, 100),
+            Some(DlmEvent::CursorAck { shard, seqno }) => assert_eq!((*shard, *seqno), (0, 100)),
             other => panic!("expected trailing cursor ack, got {other:?}"),
         }
     }
@@ -1356,10 +1268,9 @@ mod tests {
     #[test]
     fn cursor_ack_rides_drain_to_empty_and_is_not_repeated() {
         let (inner, rx) = collecting_sink();
-        let outbox =
-            OutboxSink::wrap_with_replay(inner, quick_config(64, 3), OverloadStats::new(), true);
-        outbox.deliver_logged(upd(1, 1), 7).unwrap();
-        outbox.advance_frontier(7);
+        let (outbox, sink) = single(inner, quick_config(64, 3), OverloadStats::new());
+        sink.deliver_logged(upd(1, 1), 7).unwrap();
+        sink.advance_frontier(7);
         assert!(outbox.drain(Duration::from_secs(5)));
         // The ack is synthesized by the writer when the queue drains; it
         // may ride the same frame or a follow-up one.
@@ -1369,7 +1280,7 @@ mod tests {
             got = flatten(got.into_iter().chain(rx.try_iter()));
             if got
                 .iter()
-                .any(|e| matches!(e, DlmEvent::CursorAck { seqno: 7 }))
+                .any(|e| matches!(e, DlmEvent::CursorAck { shard: 0, seqno: 7 }))
             {
                 break;
             }
@@ -1381,7 +1292,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(rx.try_iter().count(), 0, "spurious repeat ack");
         // A control event (seqno 0) does not move the cursor: no new ack.
-        outbox.deliver(DlmEvent::Ready { incarnation: 0 }).unwrap();
+        sink.deliver(DlmEvent::Ready { incarnation: 0 }).unwrap();
         assert!(outbox.drain(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(50));
         let tail = flatten(rx.try_iter());
@@ -1398,15 +1309,14 @@ mod tests {
         // drains — the client has not seen them; only the replay (and
         // its mark_current_through) may advance the ack frontier.
         let (inner, rx) = collecting_sink();
-        let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap_with_replay(inner, quick_config(4, 99), stats, true);
+        let (outbox, sink) = single(inner, quick_config(4, 99), OverloadStats::new());
         // Deliver under the state lock faster than the writer can drain
         // is racy from a test; force the sweep deterministically by a
         // burst far over high-water. Each push is its own "commit":
         // frontier advanced right after, as notify_committed does.
         for i in 0..64u64 {
-            outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
-            outbox.advance_frontier(i + 1);
+            sink.deliver_logged(upd(i, 0), i + 1).unwrap();
+            sink.advance_frontier(i + 1);
         }
         assert!(outbox.drain(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(50));
@@ -1416,7 +1326,7 @@ mod tests {
             .any(|e| matches!(e, DlmEvent::ReplayNeeded { .. }))
         {
             for e in &got {
-                if let DlmEvent::CursorAck { seqno } = e {
+                if let DlmEvent::CursorAck { seqno, .. } = e {
                     // Only seqnos actually delivered ahead of the ack in
                     // the stream may be acknowledged.
                     let delivered: Vec<u64> = got
@@ -1436,101 +1346,33 @@ mod tests {
     }
 
     #[test]
-    fn lagging_resync_markers_count_once_per_episode() {
-        // Legacy mode, writer wedged: the first sweep queues one marker
-        // and counts one resyncs_sent; every later fold into the still-
-        // queued marker must not count again (the accounting-drift fix).
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
+    fn replay_restore_resets_high_water_gauge() {
+        let (inner, gate, _rx) = gated_sink();
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap(inner, quick_config(4, 1), stats.clone());
-        for round in 0..3 {
-            for i in 0..20u64 {
-                outbox.deliver(upd(i, round)).unwrap();
-            }
-        }
-        assert!(outbox.is_lagging());
-        assert_eq!(
-            stats.resyncs_sent.get(),
-            1,
-            "one marker episode must count exactly one resync sent"
-        );
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        assert!(outbox.drain(Duration::from_secs(5)));
-        let markers = flatten(rx.try_iter())
-            .iter()
-            .filter(|e| matches!(e, DlmEvent::ResyncRequired { .. }))
-            .count();
-        assert_eq!(
-            markers as u64,
-            stats.resyncs_sent.get(),
-            "resyncs_sent must match the markers actually delivered"
-        );
-    }
-
-    #[test]
-    fn replay_restore_resets_high_water_gauges() {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, _rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
-        let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap_with_replay(inner, quick_config(4, 99), stats.clone(), true);
+        let (_outbox, sink) = single(inner, quick_config(4, 99), stats.clone());
         for i in 0..12u64 {
-            outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
+            sink.deliver_logged(upd(i, 0), i + 1).unwrap();
         }
         assert!(stats.queue_depth.high_water() > 1);
-        outbox.replay_restore();
-        assert!(
-            outbox.depth_stats().high_water() <= 1,
-            "restore must reset the per-outbox high-water mark"
-        );
+        sink.replay_restore();
         assert!(
             stats.queue_depth.high_water() <= 1,
-            "restore must reset the shared high-water mark"
+            "restore must reset the high-water mark"
         );
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        open(&gate);
     }
 
     #[test]
     fn dead_inner_sink_kills_outbox() {
         let (inner, rx) = collecting_sink();
         drop(rx);
-        let outbox = OutboxSink::wrap(inner, quick_config(8, 2), OverloadStats::new());
-        outbox.deliver(upd(1, 1)).unwrap();
+        let (_outbox, sink) = single(inner, quick_config(8, 2), OverloadStats::new());
+        sink.deliver(upd(1, 1)).unwrap();
         // The writer hits the dead sink and marks the outbox dead;
         // subsequent delivers fail so the DLM counts the client dead.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            if outbox.deliver(upd(2, 2)).is_err() {
+            if sink.deliver(upd(2, 2)).is_err() {
                 break;
             }
             assert!(Instant::now() < deadline, "outbox never died");
@@ -1601,7 +1443,7 @@ mod proptests {
         #[test]
         fn prop_coalescing_latest_wins_no_reorder(inputs in proptest::collection::vec(arb_in(), 1..120)) {
             // High-water above the input length: pure coalescing, no sweeps.
-            let mut q = CoalescingQueue::new(1024);
+            let mut q = CoalescingQueue::new(0, 1024);
             for i in &inputs {
                 q.push(to_event(i));
             }
@@ -1699,52 +1541,45 @@ mod proptests {
             }
         }
 
-        /// With a small high-water mark, memory stays bounded and every
-        /// OID ever referenced is either delivered normally or covered
-        /// by a resync marker — nothing is silently lost.
+        /// With a small high-water mark, memory stays bounded and no
+        /// state change is silently lost: every OID's last change is
+        /// either drained as an event after it was pushed, or a
+        /// `ReplayNeeded` marker drained after it sends the client to
+        /// the update log.
         #[test]
         fn prop_overflow_loses_nothing(inputs in proptest::collection::vec(arb_in(), 1..200)) {
-            let mut q = CoalescingQueue::new(8);
-            let mut drained = Vec::new();
-            for i in &inputs {
+            let mut q = CoalescingQueue::new(0, 8);
+            // (pushes seen when drained, event)
+            let mut drained: Vec<(usize, DlmEvent)> = Vec::new();
+            let mut last_push: std::collections::HashMap<u64, usize> = Default::default();
+            for (n, i) in inputs.iter().enumerate() {
                 q.push(to_event(i));
+                if let In::Updated { oid, .. } | In::Delta { oid, .. } = i {
+                    last_push.insert(*oid, n + 1);
+                }
                 prop_assert!(q.len() <= 9, "queue depth {} breached the bound", q.len());
                 // Drain opportunistically every few pushes to mimic a
                 // consumer that is slow, not dead.
-                if drained.len() % 3 == 0 {
+                if n % 3 == 0 {
                     if let Some(e) = q.pop() {
-                        drained.push(e);
+                        drained.push((n + 1, e));
                     }
                 }
             }
             while let Some(e) = q.pop() {
-                drained.push(e);
+                drained.push((inputs.len(), e));
             }
-            let mut covered: std::collections::HashSet<u64> = Default::default();
-            for e in &drained {
-                match e {
-                    DlmEvent::Updated(info) => { covered.insert(info.oid.raw()); }
-                    DlmEvent::Marked { oid, .. }
-                    | DlmEvent::Resolved { oid, .. }
-                    | DlmEvent::Delta { oid, .. } => {
-                        covered.insert(oid.raw());
-                    }
-                    DlmEvent::ResyncRequired { oids } => {
-                        covered.extend(oids.iter().map(|o| o.raw()));
-                    }
-                    _ => {}
-                }
-            }
-            for i in &inputs {
-                let oid = match i {
-                    In::Updated { oid, .. } | In::Marked { oid, .. } | In::Resolved { oid, .. }
-                    | In::Delta { oid, .. } => *oid,
-                };
-                // A cancelled Marked/Resolved pair is legitimately
-                // invisible; an Updated or Delta must always be covered.
-                if matches!(i, In::Updated { .. } | In::Delta { .. }) {
-                    prop_assert!(covered.contains(&oid), "state change to oid {oid} lost");
-                }
+            for (&oid, &pushed) in &last_push {
+                let covered = drained.iter().any(|(at, e)| {
+                    *at >= pushed
+                        && match e {
+                            DlmEvent::Updated(info) => info.oid.raw() == oid,
+                            DlmEvent::Delta { oid: o, .. } => o.raw() == oid,
+                            DlmEvent::ReplayNeeded { .. } => true,
+                            _ => false,
+                        }
+                });
+                prop_assert!(covered, "state change to oid {oid} lost");
             }
         }
     }

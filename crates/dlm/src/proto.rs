@@ -21,7 +21,7 @@ fn decode_changes(r: &mut WireReader<'_>) -> DbResult<AttrChanges> {
     let n = r.get_varint()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let attr = r.get_varint()? as u16;
+        let attr = u16::decode(r)?;
         out.push((attr, Vec::<u8>::decode(r)?));
     }
     Ok(out)
@@ -247,17 +247,16 @@ pub enum DlmEvent {
         /// never a silent partial replay).
         incarnation: u64,
     },
-    /// The client's outbox overflowed its high-water mark: the queued
-    /// notifications were swept and replaced by this single marker. The
-    /// DLC answers by re-reading `oids` (the PR 1 resync machinery),
-    /// which restores latest-state-wins without replaying the backlog.
+    /// A replay request's cursor was no longer covered by the shard's
+    /// update log (truncated, or from another log incarnation): the DLC
+    /// answers by re-reading `oids`, which restores latest-state-wins
+    /// without the missed updates.
     ResyncRequired {
-        /// Every OID that had a swept notification pending.
+        /// The client's watched objects in that shard.
         oids: Vec<Oid>,
     },
-    /// The client has been demoted to resync-only mode after repeated
-    /// overflows (slow consumer). Displays render this as staleness;
-    /// the mode clears once the outbox drains.
+    /// The client was marked lagging after repeated overflows (slow
+    /// consumer). Displays render this as staleness until it replays.
     Lagging,
     /// An object this client display-locks with a registered projection
     /// was updated: only the projected attributes that actually changed
@@ -283,45 +282,29 @@ pub enum DlmEvent {
     /// stored in queues) and flattened immediately on receipt; batches
     /// do not nest.
     Batch(Vec<DlmEvent>),
-    /// Cursor advancement: every logged commit with seqno ≤ `seqno` has
-    /// been delivered to (or legitimately filtered/coalesced away for)
-    /// this client. Emitted by the outbox writer whenever the queue
-    /// drains empty, and at the end of a served replay. The client
-    /// persists `seqno` as its replay cursor. Monotone non-decreasing;
-    /// a regression is tolerated (counted, ignored), never fatal.
+    /// Cursor advancement: every commit logged in `shard`'s update log
+    /// with seqno ≤ `seqno` has been delivered to (or legitimately
+    /// filtered/coalesced away for) this client. Each shard's log has its
+    /// own seqno space (DESIGN.md § 16), so the client keeps a cursor
+    /// *vector*; an unsharded DLM is shard 0. Emitted by the outbox
+    /// writer whenever a shard's queue drains empty, and at the end of a
+    /// served replay. Monotone non-decreasing per shard; a regression is
+    /// tolerated (counted, ignored), never fatal.
     CursorAck {
-        /// Highest fully-delivered update-log seqno.
-        seqno: u64,
-    },
-    /// The client's outbox overflowed (or it was demoted as lagging) and
-    /// the backlog was dropped in favour of the update log: the client
-    /// must send [`DlmRequest::ReplayFrom`] with its cursor to catch up.
-    /// Replaces the overflow-`ResyncRequired` sweep when the log is
-    /// enabled.
-    ReplayNeeded {
-        /// The seqno the DLM had delivered through when it swept (the
-        /// client's own cursor is authoritative; this is diagnostic).
-        from: u64,
-    },
-    /// [`DlmEvent::CursorAck`] from one shard of a partitioned DLM
-    /// (DESIGN.md § 16). Each shard's update log has its own seqno
-    /// space, so the client keeps a cursor *vector*; this advances one
-    /// entry. Emitted only when the DLM runs more than one shard —
-    /// single-shard deployments keep the untagged `CursorAck`.
-    ShardCursorAck {
         /// The shard whose seqno space `seqno` belongs to.
         shard: u32,
         /// Highest fully-delivered seqno in that shard's log.
         seqno: u64,
     },
-    /// [`DlmEvent::ReplayNeeded`] from one shard of a partitioned DLM:
-    /// only that shard's backlog was swept, and only that shard's cursor
-    /// needs a `ReplayFrom` catch-up.
-    ShardReplayNeeded {
+    /// `shard`'s outbox queue overflowed (or the client was demoted as
+    /// lagging) and its backlog was dropped in favour of the update log:
+    /// the client must send a replay request with its cursor for that
+    /// shard to catch up. Only that shard's stream is interrupted.
+    ReplayNeeded {
         /// The shard whose backlog was dropped.
         shard: u32,
-        /// That shard's delivered-through seqno at sweep time
-        /// (diagnostic, as for `ReplayNeeded`).
+        /// The seqno that shard had delivered through when it swept (the
+        /// client's own cursor is authoritative; this is diagnostic).
         from: u64,
     },
 }
@@ -441,9 +424,9 @@ impl Decode for DlmRequest {
                 let n = r.get_varint()? as usize;
                 let mut attrs = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    attrs.push(r.get_varint()? as u16);
+                    attrs.push(u16::decode(r)?);
                 }
-                let version = r.get_varint()? as u32;
+                let version = u32::decode(r)?;
                 DlmRequest::LockProjected {
                     oids,
                     attrs,
@@ -490,8 +473,6 @@ const EV_DELTA: u8 = 7;
 const EV_BATCH: u8 = 8;
 const EV_CURSOR_ACK: u8 = 9;
 const EV_REPLAY_NEEDED: u8 = 10;
-const EV_SHARD_CURSOR_ACK: u8 = 11;
-const EV_SHARD_REPLAY_NEEDED: u8 = 12;
 
 impl Encode for DlmEvent {
     fn encode(&self, w: &mut WireWriter) {
@@ -543,22 +524,14 @@ impl Encode for DlmEvent {
                     e.encode(w);
                 }
             }
-            DlmEvent::CursorAck { seqno } => {
+            DlmEvent::CursorAck { shard, seqno } => {
                 w.put_u8(EV_CURSOR_ACK);
+                w.put_varint(u64::from(*shard));
                 w.put_varint(*seqno);
             }
-            DlmEvent::ReplayNeeded { from } => {
+            DlmEvent::ReplayNeeded { shard, from } => {
                 w.put_u8(EV_REPLAY_NEEDED);
-                w.put_varint(*from);
-            }
-            DlmEvent::ShardCursorAck { shard, seqno } => {
-                w.put_u8(EV_SHARD_CURSOR_ACK);
-                w.put_varint(*shard as u64);
-                w.put_varint(*seqno);
-            }
-            DlmEvent::ShardReplayNeeded { shard, from } => {
-                w.put_u8(EV_SHARD_REPLAY_NEEDED);
-                w.put_varint(*shard as u64);
+                w.put_varint(u64::from(*shard));
                 w.put_varint(*from);
             }
         }
@@ -587,7 +560,7 @@ impl Decode for DlmEvent {
             EV_LAGGING => DlmEvent::Lagging,
             EV_DELTA => DlmEvent::Delta {
                 oid: Oid::decode(r)?,
-                version: r.get_varint()? as u32,
+                version: u32::decode(r)?,
                 changed: decode_changes(r)?,
                 trace: r.get_varint()?,
             },
@@ -604,17 +577,11 @@ impl Decode for DlmEvent {
                 DlmEvent::Batch(events)
             }
             EV_CURSOR_ACK => DlmEvent::CursorAck {
+                shard: u32::decode(r)?,
                 seqno: r.get_varint()?,
             },
             EV_REPLAY_NEEDED => DlmEvent::ReplayNeeded {
-                from: r.get_varint()?,
-            },
-            EV_SHARD_CURSOR_ACK => DlmEvent::ShardCursorAck {
-                shard: r.get_varint()? as u32,
-                seqno: r.get_varint()?,
-            },
-            EV_SHARD_REPLAY_NEEDED => DlmEvent::ShardReplayNeeded {
-                shard: r.get_varint()? as u32,
+                shard: u32::decode(r)?,
                 from: r.get_varint()?,
             },
             t => return Err(DbError::Protocol(format!("unknown dlm event tag {t}"))),
@@ -693,15 +660,12 @@ mod tests {
         });
         rt_ev(DlmEvent::ResyncRequired { oids: vec![] });
         rt_ev(DlmEvent::Lagging);
-        rt_ev(DlmEvent::CursorAck { seqno: 0 });
-        rt_ev(DlmEvent::CursorAck { seqno: u64::MAX });
-        rt_ev(DlmEvent::ReplayNeeded { from: 42 });
-        rt_ev(DlmEvent::ShardCursorAck { shard: 0, seqno: 0 });
-        rt_ev(DlmEvent::ShardCursorAck {
+        rt_ev(DlmEvent::CursorAck { shard: 0, seqno: 0 });
+        rt_ev(DlmEvent::CursorAck {
             shard: u32::MAX,
             seqno: u64::MAX,
         });
-        rt_ev(DlmEvent::ShardReplayNeeded { shard: 3, from: 42 });
+        rt_ev(DlmEvent::ReplayNeeded { shard: 3, from: 42 });
     }
 
     #[test]
@@ -709,6 +673,43 @@ mod tests {
         assert!(DlmRequest::decode_from_bytes(&[99]).is_err());
         assert!(DlmEvent::decode_from_bytes(&[99]).is_err());
         assert!(DlmRequest::decode_from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_narrowing_is_rejected() {
+        // A shard varint of 2^32 must not alias shard 0's seqno space.
+        let mut w = WireWriter::new();
+        w.put_u8(EV_CURSOR_ACK);
+        w.put_varint(1 << 32);
+        w.put_varint(7);
+        assert!(DlmEvent::decode_from_bytes(&w.finish()).is_err());
+        let mut w = WireWriter::new();
+        w.put_u8(EV_REPLAY_NEEDED);
+        w.put_varint(1 << 32);
+        w.put_varint(7);
+        assert!(DlmEvent::decode_from_bytes(&w.finish()).is_err());
+        // Delta version and changed-attribute index.
+        for (version, attr) in [(1u64 << 32, 0u64), (1, 1 << 16)] {
+            let mut w = WireWriter::new();
+            w.put_u8(EV_DELTA);
+            Oid::new(1).encode(&mut w);
+            w.put_varint(version);
+            w.put_varint(1);
+            w.put_varint(attr);
+            Vec::<u8>::new().encode(&mut w);
+            w.put_varint(0);
+            assert!(DlmEvent::decode_from_bytes(&w.finish()).is_err());
+        }
+        // Projected lock attribute index and version.
+        for (attr, version) in [(1u64 << 16, 0u64), (0, 1 << 32)] {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_LOCK_PROJECTED);
+            vec![Oid::new(1)].encode(&mut w);
+            w.put_varint(1);
+            w.put_varint(attr);
+            w.put_varint(version);
+            assert!(DlmRequest::decode_from_bytes(&w.finish()).is_err());
+        }
     }
 
     #[test]

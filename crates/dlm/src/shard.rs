@@ -11,14 +11,13 @@
 //! *vector* (one entry per shard) and recovery replays shards in
 //! parallel.
 //!
-//! A one-shard `ShardedDlm` is bit-compatible with the classic core: it
-//! wraps a plain [`DlmCore`] on the legacy lock ranks, emits untagged
-//! [`DlmEvent::CursorAck`]s, and spills its durable log to the same
-//! directory layout as PR 7.
+//! A one-shard `ShardedDlm` wraps a plain [`DlmCore`] on the singleton
+//! lock ranks and spills its durable log directly under the log
+//! directory; its cursor vector has one entry.
 
 use crate::core::{DlmConfig, DlmCore, DlmStats, EventSink, ReplayOutcome};
 use crate::log::{DurableRecovery, UpdateLog};
-use crate::proto::{DlmEvent, UpdateInfo};
+use crate::proto::UpdateInfo;
 use displaydb_common::metrics::{Counter, SegLogStats};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid, TxnId};
 use std::path::Path;
@@ -64,71 +63,6 @@ impl ShardMap {
             parts[self.shard_of(oid) as usize].push(oid);
         }
         parts
-    }
-}
-
-/// An [`EventSink`] decorator that stamps one shard's identity onto the
-/// cursor-bearing control events, so a client receiving from N shards
-/// over one session channel can tell the seqno spaces apart. Sits
-/// *inside* the per-shard outbox (the coalescing queue never sees
-/// tagged variants); everything that isn't a cursor control event
-/// passes through untouched.
-pub struct ShardTagSink {
-    shard: u32,
-    inner: Arc<dyn EventSink>,
-}
-
-impl ShardTagSink {
-    /// Wrap `inner` so its cursor control events carry `shard`.
-    pub fn new(shard: u32, inner: Arc<dyn EventSink>) -> Self {
-        Self { shard, inner }
-    }
-
-    fn tag(&self, event: DlmEvent) -> DlmEvent {
-        match event {
-            DlmEvent::CursorAck { seqno } => DlmEvent::ShardCursorAck {
-                shard: self.shard,
-                seqno,
-            },
-            DlmEvent::ReplayNeeded { from } => DlmEvent::ShardReplayNeeded {
-                shard: self.shard,
-                from,
-            },
-            DlmEvent::Batch(events) => {
-                DlmEvent::Batch(events.into_iter().map(|e| self.tag(e)).collect())
-            }
-            other => other,
-        }
-    }
-}
-
-impl EventSink for ShardTagSink {
-    fn deliver(&self, event: DlmEvent) -> DbResult<()> {
-        self.inner.deliver(self.tag(event))
-    }
-
-    fn deliver_logged(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
-        self.inner.deliver_logged(self.tag(event), seqno)
-    }
-
-    fn deliver_replayed(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
-        self.inner.deliver_replayed(self.tag(event), seqno)
-    }
-
-    fn replay_restore(&self) {
-        self.inner.replay_restore();
-    }
-
-    fn mark_current_through(&self, seqno: u64) {
-        self.inner.mark_current_through(seqno);
-    }
-
-    fn advance_frontier(&self, seqno: u64) {
-        self.inner.advance_frontier(seqno);
-    }
-
-    fn close(&self) {
-        self.inner.close();
     }
 }
 
@@ -210,7 +144,7 @@ impl std::fmt::Debug for ShardedDlm {
 
 impl ShardedDlm {
     /// Build an in-memory DLM with `config.shards` partitions. One
-    /// shard wraps a classic [`DlmCore`] on the legacy lock ranks;
+    /// shard wraps a classic [`DlmCore`] on the singleton lock ranks;
     /// more get per-shard ranked tables and logs sharing one stats
     /// handle.
     pub fn new(config: DlmConfig) -> Self {
@@ -238,7 +172,7 @@ impl ShardedDlm {
 
     /// Build a DLM whose per-shard update logs spill to stable storage
     /// (DESIGN.md § 14, per-shard directories `dir/shard-<i>` when
-    /// sharded, `dir` itself at one shard — the PR 7 layout). Each
+    /// sharded, `dir` itself at one shard). Each
     /// shard gets its own durable incarnation (`fresh_incarnation + i`
     /// when freshly minted) because its seqno space is independent.
     /// Returns one recovery report per shard.
@@ -332,13 +266,6 @@ impl ShardedDlm {
         &self.shard_stats
     }
 
-    /// Shard 0's update log. With one shard this *is* the log, exactly
-    /// as before; with more it is only the first partition — callers
-    /// that care about a specific shard use [`Self::update_log_of`].
-    pub fn update_log(&self) -> &UpdateLog {
-        self.cores[0].update_log()
-    }
-
     /// One shard's update log.
     pub fn update_log_of(&self, shard: usize) -> &UpdateLog {
         self.cores[shard].update_log()
@@ -354,8 +281,8 @@ impl ShardedDlm {
             .collect()
     }
 
-    /// Register one sink for `client` on every shard (single-shard
-    /// deployments and tests, where tagging is unnecessary).
+    /// Register one sink for `client` on every shard (tests and
+    /// in-process sinks that need no per-shard queues).
     pub fn register_client(&self, client: ClientId, sink: Arc<dyn EventSink>) {
         for core in &self.cores {
             core.register_client(client, Arc::clone(&sink));
@@ -363,9 +290,9 @@ impl ShardedDlm {
     }
 
     /// Register per-shard sinks for `client` (index = shard). The
-    /// server wraps each shard's sink in its own outbox so one slow
-    /// shard's backlog cannot block the others, and tags it with
-    /// [`ShardTagSink`] so cursor acks name their seqno space.
+    /// server passes the per-shard queues of the session's one outbox
+    /// ([`crate::OutboxSink::shard`]), so one shard's backlog cannot
+    /// block another's and every cursor ack names its seqno space.
     pub fn register_client_sinks(&self, client: ClientId, sinks: Vec<Arc<dyn EventSink>>) {
         assert_eq!(sinks.len(), self.cores.len(), "one sink per shard");
         for (core, sink) in self.cores.iter().zip(sinks) {
@@ -525,41 +452,29 @@ impl ShardedDlm {
         }
     }
 
-    /// Replay shard 0 from `cursor` — the legacy single-cursor entry
-    /// point ([`crate::proto::DlmRequest::ReplayFrom`] and pre-shard
-    /// resume tokens land here).
-    pub fn replay_for(&self, client: ClientId, cursor: u64) -> ReplayOutcome {
-        self.cores[0].replay_for(client, cursor)
-    }
-
-    /// Replay one shard's log from that shard's `cursor`.
-    pub fn replay_for_shard(&self, client: ClientId, shard: usize, cursor: u64) -> ReplayOutcome {
-        self.cores[shard].replay_for(client, cursor)
-    }
-
-    /// Fan a recovery out shard-parallel: replay each `(shard, cursor)`
-    /// pair concurrently. Shards whose cursor fell off their log answer
-    /// with a `ResyncRequired` over the client's watched set *in that
-    /// shard* — truncation is contained, caught-up shards still replay.
-    /// Returns one outcome per requested pair, same order.
-    pub fn replay_for_shards(
-        &self,
-        client: ClientId,
-        cursors: &[(u32, u64)],
-    ) -> Vec<ReplayOutcome> {
-        if cursors.len() <= 1 {
-            return cursors
+    /// Serve a replay request: replay each `(shard, cursor)` pair
+    /// concurrently. Shards whose cursor fell off their log answer with a
+    /// `ResyncRequired` over the client's watched set *in that shard* —
+    /// truncation is contained, caught-up shards still replay. Pairs
+    /// naming a shard this DLM does not have are ignored. Returns one
+    /// outcome per served pair, in request order.
+    pub fn replay_for(&self, client: ClientId, cursors: &[(u32, u64)]) -> Vec<ReplayOutcome> {
+        let served: Vec<(usize, u64)> = cursors
+            .iter()
+            .filter(|(s, _)| (*s as usize) < self.cores.len())
+            .map(|&(s, c)| (s as usize, c))
+            .collect();
+        if served.len() <= 1 {
+            return served
                 .iter()
-                .filter(|(s, _)| (*s as usize) < self.cores.len())
-                .map(|&(s, c)| self.cores[s as usize].replay_for(client, c))
+                .map(|&(s, c)| self.cores[s].replay_for(client, c))
                 .collect();
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = cursors
+            let handles: Vec<_> = served
                 .iter()
-                .filter(|(s, _)| (*s as usize) < self.cores.len())
                 .map(|&(s, c)| {
-                    let core = &self.cores[s as usize];
+                    let core = &self.cores[s];
                     scope.spawn(move || core.replay_for(client, c))
                 })
                 .collect();
@@ -574,6 +489,7 @@ impl ShardedDlm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::DlmEvent;
     use crossbeam::channel::{unbounded, Receiver};
     use displaydb_common::DbError;
 
@@ -701,39 +617,25 @@ mod tests {
     }
 
     #[test]
-    fn tag_sink_rewrites_cursor_events_including_batches() {
-        let (inner, rx) = sink();
-        let tagged = ShardTagSink::new(3, inner);
-        tagged.deliver(DlmEvent::CursorAck { seqno: 9 }).unwrap();
-        tagged.deliver(DlmEvent::ReplayNeeded { from: 5 }).unwrap();
-        tagged
-            .deliver(DlmEvent::Batch(vec![
-                DlmEvent::Updated(UpdateInfo::lazy(o(1))),
-                DlmEvent::CursorAck { seqno: 11 },
-            ]))
-            .unwrap();
-        assert_eq!(
-            rx.try_recv().unwrap(),
-            DlmEvent::ShardCursorAck { shard: 3, seqno: 9 }
-        );
-        assert_eq!(
-            rx.try_recv().unwrap(),
-            DlmEvent::ShardReplayNeeded { shard: 3, from: 5 }
-        );
-        match rx.try_recv().unwrap() {
-            DlmEvent::Batch(events) => {
-                assert_eq!(events.len(), 2);
-                assert!(matches!(events[0], DlmEvent::Updated(_)));
-                assert_eq!(
-                    events[1],
-                    DlmEvent::ShardCursorAck {
-                        shard: 3,
-                        seqno: 11
-                    }
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    fn shards_sum_into_one_log_bytes_gauge() {
+        let dlm = sharded(4);
+        let map = dlm.map();
+        let pick = |shard: u32| {
+            (0..)
+                .map(o)
+                .find(|&oid| map.shard_of(oid) == shard)
+                .unwrap()
+        };
+        let fat = |oid| UpdateInfo::eager(oid, vec![0u8; 100]);
+        dlm.notify_committed(None, &[fat(pick(1))]);
+        dlm.notify_committed(None, &[fat(pick(1))]);
+        dlm.notify_committed(None, &[fat(pick(3))]);
+        let gauge = &dlm.stats().log;
+        assert_eq!(gauge.log_entries.get(), 3);
+        assert_eq!(gauge.log_bytes.get(), 3 * 124, "the gauge sums every shard");
+        dlm.update_log_of(1).truncate_all();
+        assert_eq!(gauge.log_entries.get(), 1);
+        assert_eq!(gauge.log_bytes.get(), 124);
     }
 
     #[test]
@@ -750,7 +652,7 @@ mod tests {
         // Truncate shard 2's log; replay all four shards from 0.
         dlm.update_log_of(2).truncate_all();
         let cursors: Vec<(u32, u64)> = (0..4).map(|s| (s, 0)).collect();
-        let outcomes = dlm.replay_for_shards(c(1), &cursors);
+        let outcomes = dlm.replay_for(c(1), &cursors);
         assert_eq!(outcomes.len(), 4);
         let mut replayed = 0usize;
         let mut truncated = 0usize;
@@ -792,6 +694,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::proto::DlmEvent;
     use proptest::prelude::*;
     use std::collections::HashMap;
 

@@ -93,11 +93,11 @@ impl Encode for Projection {
 impl Decode for Projection {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let class = ClassId::decode(r)?;
-        let version = r.get_varint()? as u32;
+        let version = u32::decode(r)?;
         let n = r.get_varint()? as usize;
         let mut attrs = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            attrs.push(r.get_varint()? as u16);
+            attrs.push(u16::decode(r)?);
         }
         Ok(Self::new(class, attrs, version))
     }
@@ -134,6 +134,18 @@ mod tests {
         .unwrap();
         let id = c.id_of("Link").unwrap();
         (c, id)
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_version_and_attr() {
+        for (version, attr) in [(1u64 << 32, 0u64), (1, 1 << 16)] {
+            let mut w = WireWriter::new();
+            ClassId::new(1).encode(&mut w);
+            w.put_varint(version);
+            w.put_varint(1);
+            w.put_varint(attr);
+            assert!(Projection::decode_from_bytes(&w.finish()).is_err());
+        }
     }
 
     #[test]

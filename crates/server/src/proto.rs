@@ -41,8 +41,8 @@ impl Decode for WireLockMode {
     }
 }
 
-/// One shard's notification cursor inside a version-2 resume token: the
-/// last update-log seqno acked for that shard, and the durable log
+/// One shard's notification cursor inside a resume token: the last
+/// update-log seqno acked for that shard, and the durable log
 /// incarnation it was acked under (0 = no durable log).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardCursor {
@@ -53,35 +53,6 @@ pub struct ShardCursor {
     /// The shard's durable update-log incarnation at ack time (0 = the
     /// shard ran without a durable log).
     pub log_incarnation: u64,
-}
-
-/// The notification-cursor half of a resume token, versioned on the wire
-/// so a sharded server can tell a pre-shard token apart from a
-/// shard-aware one instead of silently misreading it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResumeCursors {
-    /// A version-1 (pre-shard) token: one flat cursor over what was then
-    /// the single global seqno space. A sharded server cannot map this
-    /// onto per-shard seqno spaces, so it admits the session but answers
-    /// with a full resync rather than a partial replay.
-    Legacy {
-        /// Last update-log seqno the client applied; 0 = no cursor.
-        cursor: u64,
-        /// The durable update-log incarnation `cursor` was acked under.
-        log_incarnation: u64,
-    },
-    /// A version-2 token: one cursor per DLM shard, each carrying the
-    /// durable log incarnation it was acked under. Shards are admitted
-    /// independently — a truncated shard resyncs while caught-up shards
-    /// replay.
-    Shards(Vec<ShardCursor>),
-}
-
-impl ResumeCursors {
-    /// An empty shard-aware cursor set ("no cursor anywhere").
-    pub fn none() -> Self {
-        ResumeCursors::Shards(Vec::new())
-    }
 }
 
 /// The session-resume half of a [`Request::Hello`]: presented by a client
@@ -99,54 +70,32 @@ pub struct ResumeRequest {
     /// disconnect time. The server re-registers these in the copy table and
     /// reports which are out of date.
     pub manifest: Vec<(Oid, u64)>,
-    /// The client's notification cursors (DESIGN.md §§ 13–14, 16),
-    /// versioned on the wire: a legacy single cursor or a per-shard
-    /// vector. When a shard's log still contains its cursor, the resumed
-    /// session catches that shard up with a replay instead of a resync.
-    pub cursors: ResumeCursors,
+    /// The client's notification cursors, one per DLM shard (DESIGN.md
+    /// §§ 13–14, 16). Shards are admitted independently: when a shard's
+    /// log still contains its cursor, the resumed session catches that
+    /// shard up with a replay instead of a resync.
+    pub cursors: Vec<ShardCursor>,
 }
 
-/// Resume-token wire versions. Version 1 is the pre-shard flat layout
-/// (`cursor`, `log_incarnation` varints trailing the manifest); version 2
-/// carries the per-shard cursor vector. Anything else is rejected as a
+/// The resume-token wire version. Any other leading byte is rejected as a
 /// protocol error — never guessed at.
-const RESUME_V1: u8 = 1;
-const RESUME_V2: u8 = 2;
+const RESUME_VERSION: u8 = 2;
 
 impl Encode for ResumeRequest {
     fn encode(&self, w: &mut WireWriter) {
-        match &self.cursors {
-            ResumeCursors::Legacy {
-                cursor,
-                log_incarnation,
-            } => {
-                w.put_u8(RESUME_V1);
-                w.put_varint(self.token);
-                w.put_varint(self.incarnation);
-                w.put_varint(self.manifest.len() as u64);
-                for (oid, version) in &self.manifest {
-                    oid.encode(w);
-                    w.put_varint(*version);
-                }
-                w.put_varint(*cursor);
-                w.put_varint(*log_incarnation);
-            }
-            ResumeCursors::Shards(shards) => {
-                w.put_u8(RESUME_V2);
-                w.put_varint(self.token);
-                w.put_varint(self.incarnation);
-                w.put_varint(self.manifest.len() as u64);
-                for (oid, version) in &self.manifest {
-                    oid.encode(w);
-                    w.put_varint(*version);
-                }
-                w.put_varint(shards.len() as u64);
-                for sc in shards {
-                    w.put_varint(u64::from(sc.shard));
-                    w.put_varint(sc.cursor);
-                    w.put_varint(sc.log_incarnation);
-                }
-            }
+        w.put_u8(RESUME_VERSION);
+        w.put_varint(self.token);
+        w.put_varint(self.incarnation);
+        w.put_varint(self.manifest.len() as u64);
+        for (oid, version) in &self.manifest {
+            oid.encode(w);
+            w.put_varint(*version);
+        }
+        w.put_varint(self.cursors.len() as u64);
+        for sc in &self.cursors {
+            w.put_varint(u64::from(sc.shard));
+            w.put_varint(sc.cursor);
+            w.put_varint(sc.log_incarnation);
         }
     }
 }
@@ -154,7 +103,7 @@ impl Encode for ResumeRequest {
 impl Decode for ResumeRequest {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let version = r.get_u8()?;
-        if version != RESUME_V1 && version != RESUME_V2 {
+        if version != RESUME_VERSION {
             return Err(DbError::Protocol(format!(
                 "unknown resume token version {version}"
             )));
@@ -166,23 +115,15 @@ impl Decode for ResumeRequest {
         for _ in 0..n {
             manifest.push((Oid::decode(r)?, r.get_varint()?));
         }
-        let cursors = if version == RESUME_V1 {
-            ResumeCursors::Legacy {
+        let n = r.get_varint()? as usize;
+        let mut cursors = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            cursors.push(ShardCursor {
+                shard: u32::decode(r)?,
                 cursor: r.get_varint()?,
                 log_incarnation: r.get_varint()?,
-            }
-        } else {
-            let n = r.get_varint()? as usize;
-            let mut shards = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                shards.push(ShardCursor {
-                    shard: r.get_varint()? as u32,
-                    cursor: r.get_varint()?,
-                    log_incarnation: r.get_varint()?,
-                });
-            }
-            ResumeCursors::Shards(shards)
-        };
+            });
+        }
         Ok(ResumeRequest {
             token,
             incarnation,
@@ -296,21 +237,14 @@ pub enum Request {
         /// The client's projection-registry version, echoed in deltas.
         version: u32,
     },
-    /// Ask the DLM to replay every logged notification after `cursor`
-    /// that intersects this client's display-lock interests (integrated
-    /// deployment). The suffix — or a `ResyncRequired` fallback when the
-    /// cursor was truncated out of the log — arrives as DLM pushes; the
-    /// RPC response only confirms the replay was scheduled.
+    /// Ask the DLM to replay, per listed shard, every logged
+    /// notification after that shard's cursor that intersects this
+    /// client's display-lock interests (integrated deployment). Shards
+    /// answer independently: the suffix — or a `ResyncRequired` fallback
+    /// over the client's interests on a shard whose log no longer covers
+    /// its cursor — arrives as DLM pushes; the RPC response only confirms
+    /// the replay was scheduled.
     ReplayFrom {
-        /// Last update-log seqno the client has applied.
-        cursor: u64,
-    },
-    /// Shard-aware replay (integrated deployment, sharded DLM): one
-    /// cursor per shard whose suffix the client wants replayed. Shards
-    /// answer independently — a shard whose log no longer covers its
-    /// cursor pushes `ResyncRequired` for the client's interests on that
-    /// shard while the others replay normally.
-    ReplayFromShards {
         /// `(shard, cursor)` pairs; shards not listed are untouched.
         cursors: Vec<(u32, u64)>,
     },
@@ -342,18 +276,13 @@ pub enum Response {
         /// currency could not be proven, e.g. after a server restart). The
         /// client must invalidate these before serving them again.
         stale: Vec<Oid>,
-        /// Whether the resumed client's notification cursor is still in
-        /// the DLM update log: the client should catch up with
-        /// `ReplayFrom{cursor}` instead of resyncing `stale`. With a
+        /// Whether some shard's update log still covers the resumed
+        /// client's cursor for it: the client should catch up with
+        /// `ReplayFrom{cursors}` instead of resyncing `stale`. With a
         /// durable log this can hold even across a server restart
         /// (DESIGN.md § 14). Always false for fresh sessions and
         /// truncated cursors.
         replay_ok: bool,
-        /// The durable update-log incarnation behind this server (0 =
-        /// none). With a sharded DLM this is shard 0's incarnation, kept
-        /// for diagnostics; the authoritative per-shard values are in
-        /// `shard_log_incarnations`.
-        log_incarnation: u64,
         /// Per-shard durable update-log incarnations (index = shard id,
         /// 0 = that shard has no durable log). The client persists these
         /// alongside its per-shard cursors and echoes them in the next
@@ -474,7 +403,6 @@ const REQ_CHECKPOINT: u8 = 14;
 const REQ_PING: u8 = 15;
 const REQ_DLOCK_PROJECTED: u8 = 16;
 const REQ_REPLAY_FROM: u8 = 17;
-const REQ_REPLAY_FROM_SHARDS: u8 = 18;
 
 impl Encode for Request {
     fn encode(&self, w: &mut WireWriter) {
@@ -554,12 +482,8 @@ impl Encode for Request {
                 }
                 w.put_varint(u64::from(*version));
             }
-            Request::ReplayFrom { cursor } => {
+            Request::ReplayFrom { cursors } => {
                 w.put_u8(REQ_REPLAY_FROM);
-                w.put_varint(*cursor);
-            }
-            Request::ReplayFromShards { cursors } => {
-                w.put_u8(REQ_REPLAY_FROM_SHARDS);
                 w.put_varint(cursors.len() as u64);
                 for (shard, cursor) in cursors {
                     w.put_varint(u64::from(*shard));
@@ -624,25 +548,22 @@ impl Decode for Request {
             },
             REQ_CHECKPOINT => Request::Checkpoint,
             REQ_PING => Request::Ping,
-            REQ_REPLAY_FROM => Request::ReplayFrom {
-                cursor: r.get_varint()?,
-            },
-            REQ_REPLAY_FROM_SHARDS => {
+            REQ_REPLAY_FROM => {
                 let n = r.get_varint()? as usize;
                 let mut cursors = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    cursors.push((r.get_varint()? as u32, r.get_varint()?));
+                    cursors.push((u32::decode(r)?, r.get_varint()?));
                 }
-                Request::ReplayFromShards { cursors }
+                Request::ReplayFrom { cursors }
             }
             REQ_DLOCK_PROJECTED => {
                 let oids = Vec::<Oid>::decode(r)?;
                 let n = r.get_varint()? as usize;
                 let mut attrs = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    attrs.push(r.get_varint()? as u16);
+                    attrs.push(u16::decode(r)?);
                 }
-                let version = r.get_varint()? as u32;
+                let version = u32::decode(r)?;
                 Request::DisplayLockProjected {
                     oids,
                     attrs,
@@ -675,7 +596,6 @@ impl Encode for Response {
                 resumed,
                 stale,
                 replay_ok,
-                log_incarnation,
                 shard_log_incarnations,
             } => {
                 w.put_u8(RESP_HELLO_ACK);
@@ -687,7 +607,6 @@ impl Encode for Response {
                 resumed.encode(w);
                 stale.encode(w);
                 replay_ok.encode(w);
-                w.put_varint(*log_incarnation);
                 w.put_varint(shard_log_incarnations.len() as u64);
                 for inc in shard_log_incarnations {
                     w.put_varint(*inc);
@@ -738,7 +657,6 @@ impl Decode for Response {
                 resumed: bool::decode(r)?,
                 stale: Vec::<Oid>::decode(r)?,
                 replay_ok: bool::decode(r)?,
-                log_incarnation: r.get_varint()?,
                 shard_log_incarnations: {
                     let n = r.get_varint()? as usize;
                     let mut incs = Vec::with_capacity(n.min(4096));
@@ -878,23 +796,8 @@ mod tests {
                 resume: Some(ResumeRequest {
                     token: 0xdead_beef,
                     incarnation: 42,
-                    manifest: vec![(Oid::new(1), 3), (Oid::new(9), 0)],
-                    cursors: ResumeCursors::Legacy {
-                        cursor: 1234,
-                        log_incarnation: 0xfeed,
-                    },
-                }),
-            },
-        ));
-        rt(Envelope::Req(
-            7,
-            Request::Hello {
-                name: "nms-console".into(),
-                resume: Some(ResumeRequest {
-                    token: 0xdead_beef,
-                    incarnation: 42,
                     manifest: vec![(Oid::new(1), 3)],
-                    cursors: ResumeCursors::Shards(vec![
+                    cursors: vec![
                         ShardCursor {
                             shard: 0,
                             cursor: 1234,
@@ -910,7 +813,7 @@ mod tests {
                             cursor: u64::MAX,
                             log_incarnation: u64::MAX,
                         },
-                    ]),
+                    ],
                 }),
             },
         ));
@@ -922,7 +825,7 @@ mod tests {
                     token: 1,
                     incarnation: 1,
                     manifest: vec![],
-                    cursors: ResumeCursors::none(),
+                    cursors: vec![],
                 }),
             },
         ));
@@ -991,22 +894,19 @@ mod tests {
                 version: 6,
             },
         ));
-        rt(Envelope::Req(18, Request::ReplayFrom { cursor: 0 }));
-        rt(Envelope::Req(19, Request::ReplayFrom { cursor: u64::MAX }));
-        rt(Envelope::Req(
-            20,
-            Request::ReplayFromShards { cursors: vec![] },
-        ));
+        rt(Envelope::Req(20, Request::ReplayFrom { cursors: vec![] }));
         rt(Envelope::Req(
             21,
-            Request::ReplayFromShards {
+            Request::ReplayFrom {
                 cursors: vec![(0, 17), (2, 0), (7, u64::MAX)],
             },
         ));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::CursorAck {
+            shard: 0,
             seqno: 912,
         })));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::ReplayNeeded {
+            shard: 2,
             from: 907,
         })));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::Delta {
@@ -1035,7 +935,6 @@ mod tests {
                 resumed: true,
                 stale: vec![Oid::new(9)],
                 replay_ok: true,
-                log_incarnation: 4242,
                 shard_log_incarnations: vec![4242, 0, 977],
             },
         ));
@@ -1089,39 +988,35 @@ mod tests {
     }
 
     #[test]
-    fn resume_token_versions_discriminate() {
-        // A legacy token decodes back as Legacy, never as a misread
-        // shard vector, and vice versa.
-        let legacy = ResumeRequest {
-            token: 9,
-            incarnation: 3,
-            manifest: vec![(Oid::new(4), 1)],
-            cursors: ResumeCursors::Legacy {
-                cursor: 55,
-                log_incarnation: 7,
-            },
-        };
-        let bytes = legacy.encode_to_bytes();
-        assert_eq!(bytes[0], RESUME_V1);
-        let back = ResumeRequest::decode_from_bytes(&bytes).unwrap();
-        assert!(matches!(back.cursors, ResumeCursors::Legacy { .. }));
-        assert_eq!(back, legacy);
-
-        let sharded = ResumeRequest {
-            token: 9,
-            incarnation: 3,
-            manifest: vec![(Oid::new(4), 1)],
-            cursors: ResumeCursors::Shards(vec![ShardCursor {
-                shard: 1,
-                cursor: 55,
-                log_incarnation: 7,
-            }]),
-        };
-        let bytes = sharded.encode_to_bytes();
-        assert_eq!(bytes[0], RESUME_V2);
-        let back = ResumeRequest::decode_from_bytes(&bytes).unwrap();
-        assert!(matches!(back.cursors, ResumeCursors::Shards(_)));
-        assert_eq!(back, sharded);
+    fn out_of_range_narrowing_is_rejected() {
+        // A shard varint of 2^32 must not alias shard 0's seqno space —
+        // neither in a replay request nor in a resume token.
+        let mut w = WireWriter::new();
+        w.put_u8(REQ_REPLAY_FROM);
+        w.put_varint(1);
+        w.put_varint(1 << 32);
+        w.put_varint(5);
+        assert!(Request::decode_from_bytes(&w.finish()).is_err());
+        let mut w = WireWriter::new();
+        w.put_u8(RESUME_VERSION);
+        w.put_varint(1); // token
+        w.put_varint(1); // incarnation
+        w.put_varint(0); // manifest
+        w.put_varint(1);
+        w.put_varint(1 << 32);
+        w.put_varint(5);
+        w.put_varint(0);
+        assert!(ResumeRequest::decode_from_bytes(&w.finish()).is_err());
+        // Projected display lock: attribute index and version.
+        for (attr, version) in [(1u64 << 16, 0u64), (0, 1 << 32)] {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_DLOCK_PROJECTED);
+            vec![Oid::new(1)].encode(&mut w);
+            w.put_varint(1);
+            w.put_varint(attr);
+            w.put_varint(version);
+            assert!(Request::decode_from_bytes(&w.finish()).is_err());
+        }
     }
 
     #[test]
@@ -1130,13 +1025,15 @@ mod tests {
             token: 1,
             incarnation: 1,
             manifest: vec![],
-            cursors: ResumeCursors::none(),
+            cursors: vec![],
         };
         let mut bytes = ok.encode_to_bytes().to_vec();
-        bytes[0] = 3; // a version this build does not know
-        let err = ResumeRequest::decode_from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, DbError::Protocol(ref m) if m.contains("resume token version")));
-        bytes[0] = 0;
-        assert!(ResumeRequest::decode_from_bytes(&bytes).is_err());
+        // Versions this build does not know, the retired pre-shard
+        // layout (1) included.
+        for version in [0, 1, 3] {
+            bytes[0] = version;
+            let err = ResumeRequest::decode_from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, DbError::Protocol(ref m) if m.contains("resume token version")));
+        }
     }
 }

@@ -282,7 +282,7 @@ macro_rules! encode_varint_newtype {
         }
         impl Decode for $ty {
             fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
-                Ok(<$ty>::new(r.get_varint()? as $inner))
+                Ok(<$ty>::new(<$inner>::decode(r)?))
             }
         }
     };
@@ -306,7 +306,7 @@ impl Encode for RecordId {
 impl Decode for RecordId {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let page = PageId::decode(r)?;
-        let slot = r.get_varint()? as u16;
+        let slot = u16::decode(r)?;
         Ok(RecordId::new(page, slot))
     }
 }
@@ -330,7 +330,7 @@ impl Encode for u16 {
 impl Decode for u16 {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let v = r.get_varint()?;
-        u16::try_from(v).map_err(|_| DbError::Corrupt("u16 out of range".into()))
+        u16::try_from(v).map_err(|_| DbError::Protocol("u16 out of range".into()))
     }
 }
 
@@ -342,7 +342,7 @@ impl Encode for u32 {
 impl Decode for u32 {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let v = r.get_varint()?;
-        u32::try_from(v).map_err(|_| DbError::Corrupt("u32 out of range".into()))
+        u32::try_from(v).map_err(|_| DbError::Protocol("u32 out of range".into()))
     }
 }
 
@@ -526,6 +526,21 @@ mod tests {
         roundtrip(RecordId::new(PageId::new(3), 9));
         roundtrip(vec![Oid::new(1), Oid::new(2)]);
         roundtrip((Oid::new(1), "x".to_string()));
+    }
+
+    #[test]
+    fn narrowing_decoders_reject_out_of_range_varints() {
+        // A slot or class id past its integer width must not wrap onto a
+        // valid small value.
+        let mut w = WireWriter::new();
+        w.put_varint(3); // page
+        w.put_varint(1 << 16); // slot: one past u16::MAX
+        let err = RecordId::decode_from_bytes(&w.finish()).unwrap_err();
+        assert!(matches!(err, DbError::Protocol(_)), "{err:?}");
+        let mut w = WireWriter::new();
+        w.put_varint(1 << 32);
+        let err = ClassId::decode_from_bytes(&w.finish()).unwrap_err();
+        assert!(matches!(err, DbError::Protocol(_)), "{err:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Replay recovery: cursor catch-up over the DLM update log.
 //!
-//! PR 6's tentpole turns reconnect recovery from "invalidate and re-read
-//! everything" into "replay the logged suffix past my cursor". These
+//! Reconnect recovery is "replay the logged suffix past my cursor", not
+//! "invalidate and re-read everything". These
 //! tests pin the four load-bearing behaviours end to end, over real
 //! server/client pairs:
 //!
@@ -11,10 +11,8 @@
 //!   (`replay_truncations == 1`), not a storm of them;
 //! - replay is interest-filtered — a viewer only receives the suffix
 //!   that intersects its registered locks;
-//! - outbox overflow in replay mode sweeps to a `ReplayNeeded` marker
-//!   the client answers automatically, replacing the legacy
-//!   `ResyncRequired` path (pinned separately in tests/overload.rs with
-//!   the log disabled);
+//! - outbox overflow stays within the high-water bound and sweeps to
+//!   one `ReplayNeeded` marker the client answers automatically;
 //! - repeated disconnects keep the cursor monotone with zero gap events
 //!   (the gap counter is diagnostic, never fatal).
 //!
@@ -109,7 +107,7 @@ fn await_value(display: &Display, id: DoId, want: f64, deadline: Duration) {
 fn await_cursor(client: &DbClient) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let cursor = client.dlc().cursor();
+        let cursor = client.dlc().cursor_of(0);
         if cursor > 0 {
             return cursor;
         }
@@ -208,7 +206,7 @@ fn resume_replays_suffix_without_resync() {
         "no resync sweep may reach the viewer"
     );
     assert!(
-        viewer.dlc().cursor() > cursor_before,
+        viewer.dlc().cursor_of(0) > cursor_before,
         "the cursor must advance past the replayed suffix"
     );
     assert_eq!(viewer.dlc().stats().cursor_gaps.get(), 0);
@@ -265,7 +263,7 @@ fn truncated_cursor_falls_back_to_exactly_one_resync() {
     txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.95))
         .unwrap();
     txn.commit().unwrap();
-    server.core().dlm().update_log().truncate_all();
+    server.core().dlm().update_log_of(0).truncate_all();
 
     gate.store(true, Ordering::SeqCst);
     await_ping(&viewer);
@@ -462,10 +460,11 @@ fn replay_is_interest_filtered() {
     drop(server);
 }
 
-/// Outbox overflow with the log on: the backlog sweeps to a single
-/// `ReplayNeeded` marker, the viewer answers it with `ReplayFrom` on its
-/// own, and converges by replay — the legacy `ResyncRequired` path
-/// (pinned in tests/overload.rs with the log disabled) never fires.
+/// A storm against a viewer whose channel is stalled: the bounded outbox
+/// overflows, its depth stays within the high-water mark plus the
+/// marker, the backlog sweeps to exactly one `ReplayNeeded` marker, the
+/// viewer answers it with a replay request on its own, and converges by
+/// replay — a resync never fires.
 #[test]
 fn overflow_sweeps_to_replay_needed_and_converges() {
     let catalog = Arc::new(nms_catalog());
@@ -474,8 +473,11 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
     let plan = Arc::new(FaultPlan::new());
     let mut config = ServerConfig::new(tmp("overflow-replay"));
     config.dlm.overload.outbox_high_water = 8;
-    // Same decoupling as the legacy twin: async callbacks let the storm
-    // burst while the viewer's writer is parked in a delayed send.
+    // Async invalidation callbacks: with synchronous ones each storm
+    // commit waits ~one injected delay for the viewer's callback ack,
+    // which paces enqueues at exactly the stalled writer's drain rate —
+    // the queue would never build. Decoupled, the storm bursts and the
+    // backlog piles up behind the parked writer deterministically.
     config.sync_callbacks = false;
     let server = Server::spawn(
         Arc::clone(&catalog),
@@ -519,8 +521,12 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
         })
         .collect();
 
-    // Flush cached copies and drain before arming the delay (see the
-    // legacy twin for why this is paced commit-by-commit).
+    // Flush the viewer's cached copies before arming the delay, and
+    // drain the resulting notifications. One commit per link: each
+    // commit is a full client→server round-trip, which paces the
+    // enqueues so the (healthy, undelayed) writer drains between them —
+    // a single 40-write burst here can trip the high-water mark on its
+    // own and sweep before the storm, breaking the exactly-one count.
     for &oid in &oids {
         let mut txn = updater.begin().unwrap();
         txn.update(oid, |o| o.set(&catalog, "Utilization", 0.01))
@@ -534,7 +540,10 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
         > 0
     {}
 
-    // Park the writer and land the whole storm behind it in one commit.
+    // Park the writer in one 400 ms send and land the whole storm (40
+    // distinct objects) behind it in one commit, so the burst is atomic
+    // relative to the parked writer: a second drain mid-storm would mean
+    // a second sweep.
     plan.set_delay(1000, Duration::from_millis(400));
     let mut txn = updater.begin().unwrap();
     for &oid in &oids {
@@ -544,19 +553,27 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
     txn.commit().unwrap();
     let overload = &server.core().dlm().stats().overload;
     assert!(overload.overflows.get() >= 1, "outbox never overflowed");
+    assert!(
+        overload.queue_depth.high_water() <= 8 + 1,
+        "outbox depth exceeded the high-water mark: {}",
+        overload.queue_depth.high_water()
+    );
 
+    // Storm over; the link heals and the viewer catches up — every one
+    // of the 40 links, though the per-object events were swept away.
     plan.clear_delay();
     for &id in &ids {
         await_value(&display, id, 0.95, Duration::from_secs(30));
     }
-    assert!(
-        viewer.dlc().stats().replays_requested.get() >= 1,
-        "the sweep must arrive as a ReplayNeeded the viewer answers"
+    assert_eq!(
+        viewer.dlc().stats().replays_requested.get(),
+        1,
+        "the sweep must arrive as exactly one ReplayNeeded the viewer answers"
     );
     assert_eq!(
         viewer.dlc().stats().resyncs_in.get(),
         0,
-        "with the log on, overflow must never fall back to resync"
+        "overflow must never fall back to resync"
     );
     drop(server);
 }
@@ -582,7 +599,7 @@ fn await_shard_cursors(client: &DbClient, shards: u32) -> Vec<(u32, u64)> {
 /// viewer's cursor during the outage while the other three retain it.
 /// The resume must replay the caught-up shards (cursor-vector admission)
 /// and sweep only the truncated shard to a scoped resync — the session
-/// never falls back to the legacy whole-session resync.
+/// never falls back to a whole-session resync.
 #[test]
 fn shard_parallel_replay_with_one_truncated_shard() {
     let catalog = Arc::new(nms_catalog());
@@ -760,14 +777,14 @@ fn repeated_disconnects_keep_the_cursor_monotone() {
         await_ping(&viewer);
         await_value(&display, id, want, Duration::from_secs(10));
         let deadline = Instant::now() + Duration::from_secs(5);
-        while viewer.dlc().cursor() <= last_cursor {
+        while viewer.dlc().cursor_of(0) <= last_cursor {
             assert!(
                 Instant::now() < deadline,
                 "cycle {cycle}: cursor never advanced past {last_cursor}"
             );
             std::thread::sleep(Duration::from_millis(20));
         }
-        last_cursor = viewer.dlc().cursor();
+        last_cursor = viewer.dlc().cursor_of(0);
     }
 
     let recovery = &viewer.conn_stats().recovery;

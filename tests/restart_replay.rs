@@ -100,7 +100,7 @@ fn await_value(display: &Display, id: DoId, want: f64, deadline: Duration) {
 fn await_cursor(client: &DbClient) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let cursor = client.dlc().cursor();
+        let cursor = client.dlc().cursor_of(0);
         if cursor > 0 {
             return cursor;
         }
@@ -123,7 +123,7 @@ fn hard_kill_recovers_live_cursor_by_replay() {
     let hub0 = hub_slot.lock().unwrap().clone();
     let mut server =
         Server::spawn_local(Arc::clone(&catalog), durable_config(tmp.path()), &hub0).unwrap();
-    let log_incarnation = server.core().log_incarnation();
+    let log_incarnation = server.core().log_incarnations()[0];
     assert_ne!(log_incarnation, 0, "durable log must be live");
 
     let updater = DbClient::connect(
@@ -167,10 +167,11 @@ fn hard_kill_recovers_live_cursor_by_replay() {
         Server::spawn_local(Arc::clone(&catalog), durable_config(tmp.path()), &hub2).unwrap();
     let rec = server2
         .core()
-        .dlm_recovery()
+        .dlm_recoveries()
+        .first()
         .expect("durable log must report recovery");
     assert!(rec.incarnation_recovered, "log incarnation must survive");
-    assert_eq!(server2.core().log_incarnation(), log_incarnation);
+    assert_eq!(server2.core().log_incarnations(), vec![log_incarnation]);
     assert!(!rec.window_truncated, "clean kill must keep the window");
     assert!(rec.recovered_entries >= 1, "committed batches must be back");
 
@@ -215,7 +216,7 @@ fn hard_kill_recovers_live_cursor_by_replay() {
     // continued, so the replayed suffix acks strictly past the old
     // frontier and the gap detector stays silent.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while viewer.dlc().cursor() <= cursor_before {
+    while viewer.dlc().cursor_of(0) <= cursor_before {
         assert!(
             Instant::now() < deadline,
             "cursor never advanced past {cursor_before}"
@@ -309,7 +310,7 @@ fn evicted_cursor_falls_back_to_resync_after_restart() {
         server2
             .core()
             .dlm()
-            .update_log()
+            .update_log_of(0)
             .changed_since(cursor_before)
             .is_none(),
         "the storm must have rolled the window past the old cursor"
@@ -343,11 +344,10 @@ fn evicted_cursor_falls_back_to_resync_after_restart() {
     drop(server2);
 }
 
-/// With the durable log disabled the restart path is byte-for-byte the
-/// pre-spill behaviour: `log_incarnation` rides the handshake as 0 and
-/// nothing claims a cross-restart replay. (The full rebaseline flow is
-/// pinned in tests/replay_recovery.rs; this guards the new field's
-/// disabled-mode semantics.)
+/// With the durable spill disabled each shard's log incarnation rides
+/// the handshake as 0 and nothing claims a cross-restart replay. (The
+/// full rebaseline flow is pinned in tests/replay_recovery.rs; this
+/// guards the field's disabled-mode semantics.)
 #[test]
 fn disabled_log_advertises_zero_incarnation() {
     let catalog = Arc::new(nms_catalog());
@@ -356,15 +356,15 @@ fn disabled_log_advertises_zero_incarnation() {
     let mut config = ServerConfig::new(tmp.path());
     config.sync_commits = true;
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
-    assert_eq!(server.core().log_incarnation(), 0);
-    assert!(server.core().dlm_recovery().is_none());
+    assert_eq!(server.core().log_incarnations(), vec![0]);
+    assert!(server.core().dlm_recoveries().is_empty());
 
     let client = DbClient::connect(
         Box::new(hub.connect().unwrap()),
         ClientConfig::named("plain"),
     )
     .unwrap();
-    assert_eq!(client.session().log_incarnation, 0);
+    assert_eq!(client.session().log_incarnations, vec![0]);
     assert_eq!(client.conn_stats().recovery.cross_restart_replays.get(), 0);
     drop(server);
 }
